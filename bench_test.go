@@ -134,7 +134,7 @@ func BenchmarkTable2MachineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineSpeedup runs a Figure-22-scale simulation under the
-// sequential oracle and each host-parallel engine, checks the results are
+// sequential oracle and the throughput engine, checks the results are
 // identical, and reports the wall-clock speedup. host-speedup approaches the
 // host's core count on steal-heavy runs and is ~1 on a single-core host;
 // host-cores records the context. On multi-core CI runners the throughput
@@ -152,23 +152,21 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 		}
 		return res, time.Since(t0)
 	}
-	for _, eng := range []core.Engine{core.EngineParallel, core.EngineThroughput} {
-		eng := eng
-		b.Run(eng.String(), func(b *testing.B) {
-			var seqT, parT time.Duration
-			for i := 0; i < b.N; i++ {
-				seqRes, st := run(core.EngineSequential)
-				parRes, pt := run(eng)
-				if !reflect.DeepEqual(seqRes, parRes) {
-					b.Fatalf("engines diverged: seq %+v vs %s %+v", seqRes, eng, parRes)
-				}
-				seqT += st
-				parT += pt
+	eng := core.EngineThroughput
+	b.Run(eng.String(), func(b *testing.B) {
+		var seqT, engT time.Duration
+		for i := 0; i < b.N; i++ {
+			seqRes, st := run(core.EngineSequential)
+			engRes, et := run(eng)
+			if !reflect.DeepEqual(seqRes, engRes) {
+				b.Fatalf("engines diverged: seq %+v vs %s %+v", seqRes, eng, engRes)
 			}
-			b.ReportMetric(seqT.Seconds()/parT.Seconds(), "host-speedup")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host-cores")
-		})
-	}
+			seqT += st
+			engT += et
+		}
+		b.ReportMetric(seqT.Seconds()/engT.Seconds(), "host-speedup")
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host-cores")
+	})
 }
 
 func itoa(n int) string {

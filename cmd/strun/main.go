@@ -36,8 +36,8 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "scheduler seed")
 		check     = flag.Bool("check", false, "enable the stack-invariant checker")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
-		engine    = flag.String("engine", "default", "host engine: sequential, parallel or throughput (identical results)")
-		hostprocs = flag.Int("hostprocs", 0, "host cores for the parallel engines (0 = all)")
+		engine    = flag.String("engine", "default", "host engine: sequential or throughput (identical results)")
+		hostprocs = flag.Int("hostprocs", 0, "host cores for the throughput engine (0 = all)")
 		maxcycles = flag.Int64("maxcycles", 0, "abort after this many total work cycles (0 = unlimited)")
 		faultFlag = flag.String("fault", "", "deterministic fault plan, name[:seed] (see -list-faults)")
 		listF     = flag.Bool("list-faults", false, "list named fault plans and exit")

@@ -76,7 +76,7 @@ func main() {
 		addr      = flag.String("addr", ":8135", "listen address")
 		queue     = flag.Int("queue", 64, "admission queue bound (full = HTTP 429)")
 		hostprocs = flag.Int("hostprocs", 0, "executor slots: jobs running concurrently (0 = all cores)")
-		engine    = flag.String("engine", "", "default engine for jobs that don't pick one: sequential, parallel or throughput (empty = ST_ENGINE, then sequential)")
+		engine    = flag.String("engine", "", "default engine for jobs that don't pick one: sequential or throughput (empty = ST_ENGINE, then sequential)")
 		cache     = flag.Int("cache", 256, "result cache entries (negative disables)")
 		timeout   = flag.Duration("timeout", 0, "default per-job execution deadline (0 = none)")
 		maxcycles = flag.Int64("maxcycles", 0, "server-wide work-cycle ceiling per job (0 = none)")

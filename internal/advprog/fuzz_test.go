@@ -11,8 +11,9 @@ import (
 )
 
 // fuzzEngines returns the engine set under test, filtered by the
-// ST_FUZZ_ENGINES environment variable (comma-separated names) so CI can
-// shard the fuzz smoke job per engine. Unset or empty means all three.
+// ST_FUZZ_ENGINES environment variable (comma-separated engine names, as
+// core.ParseEngine reads them) so CI can shard the fuzz smoke job per
+// engine. Unset or empty means every engine.
 func fuzzEngines() ([]core.Engine, error) {
 	spec := strings.TrimSpace(os.Getenv("ST_FUZZ_ENGINES"))
 	if spec == "" {
@@ -20,16 +21,12 @@ func fuzzEngines() ([]core.Engine, error) {
 	}
 	var out []core.Engine
 	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "sequential":
-			out = append(out, core.EngineSequential)
-		case "parallel":
-			out = append(out, core.EngineParallel)
-		case "throughput":
-			out = append(out, core.EngineThroughput)
-		case "":
-		default:
-			return nil, fmt.Errorf("ST_FUZZ_ENGINES: unknown engine %q", name)
+		e, err := core.ParseEngine(strings.TrimSpace(strings.ToLower(name)))
+		if err != nil {
+			return nil, fmt.Errorf("ST_FUZZ_ENGINES: %w", err)
+		}
+		if e != core.EngineDefault {
+			out = append(out, e)
 		}
 	}
 	if len(out) == 0 {

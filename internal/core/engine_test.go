@@ -9,8 +9,8 @@ import (
 )
 
 // TestParseEngine is the table test for command-line engine names: every
-// alias maps to its engine, and unknown names fail with an error that lists
-// the valid engines.
+// alias maps to its engine, and unknown names — including the deleted
+// parallel engine's — fail with an error that lists the valid engines.
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
 		in      string
@@ -21,9 +21,9 @@ func TestParseEngine(t *testing.T) {
 		{"default", EngineDefault, false},
 		{"seq", EngineSequential, false},
 		{"sequential", EngineSequential, false},
-		{"par", EngineParallel, false},
-		{"parallel", EngineParallel, false},
 		{"tp", EngineThroughput, false},
+		{"par", EngineDefault, true},
+		{"parallel", EngineDefault, true},
 		{"throughput", EngineThroughput, false},
 		{"Sequential", EngineDefault, true},
 		{"fast", EngineDefault, true},
@@ -35,10 +35,8 @@ func TestParseEngine(t *testing.T) {
 				t.Errorf("ParseEngine(%q): no error", tc.in)
 				continue
 			}
-			for _, name := range []string{"sequential", "parallel", "throughput"} {
-				if !strings.Contains(err.Error(), name) {
-					t.Errorf("ParseEngine(%q) error %q does not list %q", tc.in, err, name)
-				}
+			if !strings.Contains(err.Error(), validList) {
+				t.Errorf("ParseEngine(%q) error %q does not list %q", tc.in, err, validList)
 			}
 			continue
 		}
@@ -52,9 +50,13 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// validList is the valid-engines clause every engine-name error carries.
+const validList = "valid engines: sequential, throughput)"
+
 // TestEngineEnvResolution checks ST_ENGINE resolution: valid values select
-// their engine, and unknown values fail the run with an error listing the
-// valid engines instead of silently falling back to sequential.
+// their engine, and unknown values (the deleted parallel engine's name
+// among them) fail the run with an error listing the valid engines instead
+// of silently falling back to sequential.
 func TestEngineEnvResolution(t *testing.T) {
 	for _, tc := range []struct {
 		env  string
@@ -62,7 +64,6 @@ func TestEngineEnvResolution(t *testing.T) {
 	}{
 		{"", sched.EngineSequential},
 		{"sequential", sched.EngineSequential},
-		{"parallel", sched.EngineParallel},
 		{"throughput", sched.EngineThroughput},
 	} {
 		t.Setenv("ST_ENGINE", tc.env)
@@ -83,14 +84,17 @@ func TestEngineEnvResolution(t *testing.T) {
 
 	// An unknown forced engine must fail the run — whatever the mode — not
 	// silently run sequentially.
-	for _, mode := range []Mode{Sequential, StackThreads, Cilk} {
-		_, err := Run(apps.Fib(5, apps.ST), Config{Mode: mode, Workers: 2})
-		if err == nil {
-			t.Fatalf("mode=%v: run with ST_ENGINE=garbage succeeded", mode)
-		}
-		for _, name := range []string{"ST_ENGINE", "sequential", "parallel", "throughput"} {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("mode=%v: error %q does not mention %q", mode, err, name)
+	for _, env := range []string{"garbage", "parallel"} {
+		t.Setenv("ST_ENGINE", env)
+		for _, mode := range []Mode{Sequential, StackThreads, Cilk} {
+			_, err := Run(apps.Fib(5, apps.ST), Config{Mode: mode, Workers: 2})
+			if err == nil {
+				t.Fatalf("mode=%v: run with ST_ENGINE=%s succeeded", mode, env)
+			}
+			for _, want := range []string{"ST_ENGINE", validList} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("mode=%v: error %q does not mention %q", mode, err, want)
+				}
 			}
 		}
 	}

@@ -14,8 +14,8 @@
 // private word may be exposed where a foreign frame could read it.
 //
 // The auditor runs at scheduler pick boundaries, where the machine is
-// quiescent (both engines visit picks in the same order, and the parallel
-// engine's speculative phase is fully drained before a pick is handled),
+// quiescent (both engines visit picks in the same order, and the throughput
+// engine's speculative launch phase is over before a pick is handled),
 // so every walk is read-only and charges no virtual cycles: auditing is
 // invisible to the simulation's bytes. Failures carry a typed *Violation
 // with a machine-state dump.

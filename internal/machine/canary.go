@@ -21,8 +21,8 @@ import (
 //     never migrates out of the owner's stacks.
 //
 // The map mutates only inside the two builtins, which are spec-forbidden
-// whenever a map is installed: on the parallel and throughput engines every
-// mutation therefore replays in exact sequential pick order, so the map's
+// whenever a map is installed: on the throughput engine every mutation
+// therefore replays in exact sequential pick order, so the map's
 // contents — and any faults it records — are byte-identical across engines.
 type CanaryMap struct {
 	entries map[int64]*CanaryEntry

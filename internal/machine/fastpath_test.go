@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -184,10 +185,11 @@ func TestFastPathTrapStateExact(t *testing.T) {
 }
 
 // TestSpeculationFastPathCoherence drives the decode cache through the
-// speculation substrate: a speculative quantum (which runs per-instruction,
-// since the fast path is gated off under w.spec) must restore the exact
-// pre-quantum state, its commit must land the worker in the same state as a
-// direct fast-path run, and a forbidden-operation abort must leave no trace.
+// speculation substrate with a one-segment chain (which runs batched
+// through runBlockView): the chain must restore the exact pre-chain state,
+// leak no store to shared memory, its commit must land the worker in the
+// same state as a direct fast-path run, and a forbidden-operation abort
+// must kill the chain and leave no trace.
 func TestSpeculationFastPathCoherence(t *testing.T) {
 	prog := compileUnit(t, func(u *asm.Unit) {
 		b := u.Proc("main", 0, 2)
@@ -203,7 +205,7 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 		b.Store(isa.R0, 0, isa.T0)
 		b.AddI(isa.R1, isa.R1, 1)
 		b.Blt(isa.R1, isa.R2, loop)
-		b.Call("rand") // order-dependent: aborts any speculative quantum
+		b.Call("rand") // order-dependent: aborts any speculative segment
 		b.Load(isa.RV, isa.R0, 0)
 		b.Ret(isa.RV)
 	})
@@ -211,26 +213,37 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 	mDirect, wDirect := startWorker(t, prog, Options{})
 	mSpec, wSpec := startWorker(t, prog, Options{})
 
-	// 1. A successful quantum restores the launch state exactly.
+	// 1. Finishing a successful segment restores the launch state exactly.
 	pre := wSpec.capture()
-	res := wSpec.Speculate(300)
-	if res == nil {
-		t.Fatal("Speculate(300) aborted; the quantum contains no forbidden op")
+	c := wSpec.BeginChain()
+	if c == nil {
+		t.Fatal("BeginChain refused an untraced worker")
 	}
-	if res.Ev != EvBudget {
-		t.Fatalf("quantum event %v, want EvBudget", res.Ev)
+	seg := c.RunSegment(300)
+	if seg == nil {
+		t.Fatal("RunSegment(300) aborted; the quantum contains no forbidden op")
 	}
+	if seg.Ev != EvBudget {
+		t.Fatalf("segment event %v, want EvBudget", seg.Ev)
+	}
+	c.Finish()
 	if wSpec.PC != pre.pc || wSpec.Cycles != pre.cycles || wSpec.Regs != pre.regs || wSpec.Stats != pre.stats {
-		t.Fatalf("Speculate did not restore the launch state: pc=%d/%d cycles=%d/%d",
+		t.Fatalf("Finish did not restore the launch state: pc=%d/%d cycles=%d/%d",
 			wSpec.PC, pre.pc, wSpec.Cycles, pre.cycles)
 	}
+	if !seg.Matches(wSpec) {
+		t.Fatal("segment does not match the restored launch state")
+	}
+
+	// 2. No speculative store reached shared memory.
 	if got := mSpec.Mem.Words()[mem.Guard]; got != 0 {
 		t.Fatalf("speculative stores leaked to shared memory: cell = %d", got)
 	}
 
-	// 2. Committing the quantum matches a direct (batched) run of the same
-	// budget, including the flushed overlay stores.
-	wSpec.CommitSpec(res)
+	// 3. Committing the segment matches a direct (batched) run of the same
+	// budget, including the flushed write log.
+	var pages []int64
+	c.CommitSeg(seg, func(p int64) { pages = append(pages, p) })
 	if ev := wDirect.Run(300); ev != EvBudget {
 		t.Fatalf("direct run event %v, want EvBudget", ev)
 	}
@@ -238,15 +251,24 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 	if a, b := mSpec.Mem.Words()[mem.Guard], mDirect.Mem.Words()[mem.Guard]; a != b {
 		t.Fatalf("heap cell diverged after commit: spec=%d direct=%d", a, b)
 	}
+	if want := int64(mem.Guard) >> ChainPageShift; !slices.Contains(pages, want) {
+		t.Fatalf("commit reported pages %v, missing the heap cell's page %d", pages, want)
+	}
 
-	// 3. A quantum that reaches the forbidden builtin aborts and leaves the
-	// committed state untouched.
-	if res := wSpec.Speculate(math.MaxInt64); res != nil {
-		t.Fatalf("Speculate over the rand call returned %+v, want abort", res)
+	// 4. A segment that reaches the forbidden builtin aborts, kills the
+	// chain and leaves the committed state untouched.
+	c = wSpec.BeginChain()
+	if seg := c.RunSegment(math.MaxInt64); seg != nil {
+		t.Fatalf("RunSegment over the rand call returned %+v, want abort", seg)
 	}
 	diffWorker(t, "after abort", wSpec, wDirect)
+	if seg := c.RunSegment(300); seg != nil {
+		t.Fatal("a dead chain ran another segment")
+	}
+	c.Finish()
+	diffWorker(t, "after finishing the aborted chain", wSpec, wDirect)
 
-	// 4. Both machines finish identically.
+	// Both machines finish identically.
 	evS, evD := wSpec.Run(math.MaxInt64), wDirect.Run(math.MaxInt64)
 	if evS != EvHalt || evD != EvHalt {
 		t.Fatalf("final events: spec=%v direct=%v (errs %v / %v)", evS, evD, wSpec.Err, wDirect.Err)

@@ -58,19 +58,16 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	// The batched fast path executes with deferred state writes, so it
 	// requires an execution environment with no per-instruction side
 	// channels: no tracing and no observability. Plain execution batches
-	// through runBlock (direct memory, inline store-hook calls); a chained
-	// speculation batches through runBlockView (page-view memory with a
-	// write log). The overlay-based single-quantum speculation has no
-	// batched equivalent and stays on the per-instruction path. Everything
-	// the batch skips is observationally redundant, so turning it off
-	// (NoFastPath) changes nothing but host speed.
-	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil && w.Obs == nil &&
-		(w.spec == nil || w.spec.view != nil)
+	// through runBlock (direct memory, inline store-hook calls); a
+	// speculative segment batches through runBlockView (page-view memory
+	// with a write log). Everything the batch skips is observationally
+	// redundant, so turning it off (NoFastPath) changes nothing but host
+	// speed.
+	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil && w.Obs == nil
 	// The trace JIT additionally requires plain (non-speculative) memory:
-	// chained speculations must log page-view writes and overlay
-	// speculations intercept every access, so both stay on the paths that
-	// already handle them. Not entering the JIT never changes virtual
-	// state, so the gate is a pure host-speed decision.
+	// speculative segments must log page-view writes, so they stay on the
+	// path that already handles them. Not entering the JIT never changes
+	// virtual state, so the gate is a pure host-speed decision.
 	var jit *jitState
 	var jitHeads []bool
 	if fast && w.spec == nil && w.M.jitHeads != nil {

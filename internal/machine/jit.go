@@ -36,12 +36,11 @@ import (
 // property tests (jit_test.go) and the engine equivalence matrix prove the
 // artifacts are byte-identical with it on or off.
 //
-// Speculation: chained-speculation quanta execute against page-granular
-// private views with write logging, and overlay speculation has no batch
-// equivalent at all, so the JIT is gated off whenever w.spec != nil (the
-// same reasoning that keeps runBlock plain). Spec views thus keep seeing
-// every write through their own path; the JIT never bypasses them because
-// it never runs under them.
+// Speculation: speculative segments execute against page-granular private
+// views with write logging, so the JIT is gated off whenever w.spec != nil
+// (the same reasoning that keeps runBlock plain). Spec views thus keep
+// seeing every write through their own path; the JIT never bypasses them
+// because it never runs under them.
 
 const (
 	// jitHotThreshold is the arrival count at which a head pc compiles.

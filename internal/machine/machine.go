@@ -380,7 +380,7 @@ type Worker struct {
 	obsStack []int64
 
 	// spec, when non-nil, redirects this worker's shared-state accesses
-	// into a speculative quantum's private view (see spec.go).
+	// into a speculative segment's private view (see spec.go).
 	spec *specState
 
 	// jit is this worker's trace-JIT state (hotness counts + compiled

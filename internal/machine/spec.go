@@ -6,27 +6,20 @@ import (
 
 	"repro/internal/exportset"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
-// This file implements speculative quantum execution, the machine half of
-// the host-parallel engine (sched/engine_parallel.go). A speculation runs a
-// worker's next quantum ahead of its scheduler pick against a read-only view
-// of shared state: stores land in a private overlay, shared loads are
-// recorded in a read log, and any operation whose outcome depends on
-// machine-global order (heap allocation, the shared PRNG, thunk creation,
-// program output) aborts the speculation. The worker's architectural state
-// is snapshotted before the quantum and restored immediately after, so
-// between speculation and commit every Worker struct always holds the exact
-// state the sequential oracle would see.
-//
-// The engine later replays picks in oracle order. A speculation whose read
-// log is disjoint from every write performed since its launch is
-// bit-for-bit the run the oracle would have produced, so committing it
-// (installing the post-state, flushing the overlay, consuming thunks and
-// replaying buffered observability emissions) is indistinguishable from
-// running the quantum at the pick.
+// This file implements the worker side of speculative quantum execution,
+// the substrate of the throughput engine's chains (specview.go,
+// sched/engine_throughput.go). A speculative quantum runs ahead of its
+// scheduler pick against a private page view of shared memory: loads and
+// stores hit privatized pages, every store is appended to a write log, and
+// any operation whose outcome depends on machine-global order (heap
+// allocation, the shared PRNG, thunk creation, program output) aborts the
+// speculation. Restart-thunk consumption and observability emissions are
+// buffered instead of touching shared structures; the commit at the oracle
+// pick (ChainRun.CommitSeg) performs them in program order, which makes an
+// adopted quantum indistinguishable from running it at the pick.
 
 // errSpecAbort is the sentinel unwound when a speculative quantum reaches an
 // operation that cannot be speculated (see Worker.specForbid).
@@ -34,22 +27,13 @@ var errSpecAbort = errors.New("machine: speculative quantum aborted")
 
 // specState is the private execution view of one speculative quantum.
 type specState struct {
-	// size is the shared memory size at launch; speculative bounds checks
-	// test against it so traps replicate the oracle's exactly (the engine
-	// discards every outstanding speculation if memory grows mid-epoch).
-	size int64
-	// overlay holds speculative stores; loads consult it first.
-	overlay map[int64]int64
-	// reads logs every shared address read (not found in the overlay).
-	reads []int64
 	// thunks lists restart-thunk pcs consumed by this quantum. The shared
 	// map is left untouched; commit performs the deletes.
 	thunks []int64
-	// view, when non-nil, replaces the overlay/read-log discipline with a
-	// chained speculation's page-granular private view (specview.go): loads
-	// and stores hit privatized pages and every store is logged in wlog.
+	// view is the chain's page-granular private view of shared memory
+	// (specview.go): loads and stores hit privatized pages.
 	view *pageView
-	// wlog records this quantum's stores in program order; the chain commit
+	// wlog records this quantum's stores in program order; the commit
 	// flushes exactly these words to shared memory.
 	wlog []memWrite
 	// prevThunks lists thunk pcs consumed by earlier segments of the same
@@ -92,52 +76,28 @@ func (s *specState) consumed(pc int64) bool {
 	return false
 }
 
-// memLoad is the worker-side memory read: the overlay-aware, read-logging
-// load during speculation, a plain shared load otherwise.
+// memLoad is the worker-side memory read: through the page view during
+// speculation, a plain shared load otherwise.
 func (w *Worker) memLoad(a int64) int64 {
-	s := w.spec
-	if s == nil {
-		return w.M.Mem.Load(a)
-	}
-	if s.view != nil {
+	if s := w.spec; s != nil {
 		return s.view.load(a)
 	}
-	if len(s.overlay) != 0 {
-		if v, ok := s.overlay[a]; ok {
-			return v
-		}
-	}
-	if a < mem.Guard || a >= s.size {
-		panic(&mem.Trap{Kind: "load", Addr: a})
-	}
-	s.reads = append(s.reads, a)
 	return w.M.Mem.Load(a)
 }
 
-// memStore is the worker-side memory write: overlay-buffered during
+// memStore is the worker-side memory write: a logged page-view store during
 // speculation; otherwise a shared store, reported to the machine's store
-// hook (the engine's epoch write-conflict record) when one is installed.
+// hook (the engine's conflict record) when one is installed.
 func (w *Worker) memStore(a, v int64) {
-	s := w.spec
-	if s == nil {
-		if h := w.M.storeHook; h != nil {
-			h(a)
-		}
-		w.M.Mem.Store(a, v)
-		return
-	}
-	if s.view != nil {
+	if s := w.spec; s != nil {
 		s.view.store(a, v)
 		s.wlog = append(s.wlog, memWrite{a, v})
 		return
 	}
-	if a < mem.Guard || a >= s.size {
-		panic(&mem.Trap{Kind: "store", Addr: a})
+	if h := w.M.storeHook; h != nil {
+		h(a)
 	}
-	if s.overlay == nil {
-		s.overlay = make(map[int64]int64, 32)
-	}
-	s.overlay[a] = v
+	w.M.Mem.Store(a, v)
 }
 
 // takeThunk consumes the thunk behind pc on this worker's behalf. During
@@ -276,108 +236,16 @@ func (w *Worker) restore(s *workerSnap) {
 	}
 }
 
-// SpecResult is one completed speculative quantum, held by the parallel
-// engine until the worker's oracle pick validates or discards it.
-type SpecResult struct {
-	// Ev is the event Run returned at the end of the quantum.
-	Ev Event
-
-	startCycles int64
-	startPoll   bool
-	post        *workerSnap
-	st          *specState
-}
-
-// Reads returns the shared addresses the quantum loaded (unsorted, may
-// repeat).
-func (r *SpecResult) Reads() []int64 { return r.st.reads }
-
-// ConsumedThunks returns the restart-thunk pcs the quantum consumed.
-func (r *SpecResult) ConsumedThunks() []int64 { return r.st.thunks }
-
-// Matches reports whether w still holds the state the speculation launched
-// from (the engine's cheap sanity gate; the scheduler never advances a
-// running worker between launch and pick except by raising PollSignal).
-func (r *SpecResult) Matches(w *Worker) bool {
-	return w.Cycles == r.startCycles && w.PollSignal == r.startPoll
-}
-
-// Speculate runs one quantum of budget cycles speculatively and restores the
-// worker's pre-quantum state before returning. It returns nil when the
-// quantum cannot be speculated (instruction tracing on, or an
-// order-dependent global operation was reached); the engine then reruns the
-// quantum directly at the worker's pick. Any panic other than a simulated
-// trap is treated as an abort too — if it reflects a real fault the oracle
-// can reach, the direct rerun reproduces it deterministically.
-func (w *Worker) Speculate(budget int64) (res *SpecResult) {
-	if w.M.Opts.Trace != nil {
-		return nil
-	}
-	snap := w.capture()
-	st := &specState{size: w.M.Mem.Size()}
-	w.spec = st
-	defer func() {
-		w.spec = nil
-		if recover() != nil {
-			// The abort sentinel and any other panic both discard the
-			// speculation; the worker returns to its launch state.
-			w.restore(snap)
-			res = nil
-		}
-	}()
-	ev := w.Run(budget)
-	post := w.capture()
-	w.restore(snap)
-	return &SpecResult{Ev: ev, startCycles: snap.cycles, startPoll: snap.poll, post: post, st: st}
-}
-
-// CommitSpec adopts a validated speculation at the worker's oracle pick:
-// install the post-quantum state, flush the overlay to shared memory
-// (through the store hook, so later validations see these writes), consume
-// the logged thunks, and replay buffered observability emissions in program
-// order.
-func (w *Worker) CommitSpec(r *SpecResult) {
-	w.restore(r.post)
-	if len(r.st.overlay) > 0 {
-		addrs := make([]int64, 0, len(r.st.overlay))
-		for a := range r.st.overlay {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
-		for _, a := range addrs {
-			w.memStore(a, r.st.overlay[a])
-		}
-	}
-	for _, pc := range r.st.thunks {
-		delete(w.M.thunks, pc)
-	}
-	if c := w.M.Opts.Obs; c != nil {
-		for _, e := range r.st.events {
-			if e.span {
-				c.Span(e.start, e.end, w.ID, e.name, e.args...)
-			} else {
-				c.Instant(e.start, w.ID, e.name, e.args...)
-			}
-		}
-		for _, v := range r.st.expObs {
-			c.ExportedSize.Observe(v)
-		}
-		for _, sm := range r.st.samples {
-			w.Obs.AddSample(sm.weight, sm.pcs)
-		}
-	}
-}
-
 // HasThunk reports whether the thunk behind pc is still registered (the
-// engine validates that a speculation's consumed thunks were not taken by
-// an earlier-committed quantum).
+// engine validates that a segment's consumed thunks were not taken by an
+// earlier-committed quantum).
 func (m *Machine) HasThunk(pc int64) bool {
 	_, ok := m.thunks[pc]
 	return ok
 }
 
 // SetStoreHook installs (or clears, with nil) the observer called with the
-// address of every non-speculative shared-memory store. The parallel engine
-// uses it to record the epoch's write set; it must only be changed when no
-// speculation is executing.
+// address of every non-speculative shared-memory store. The throughput
+// engine uses it to kill chains whose pages are written; it must only be
+// changed when no speculation is executing.
 func (m *Machine) SetStoreHook(h func(a int64)) { m.storeHook = h }

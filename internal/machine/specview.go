@@ -6,11 +6,10 @@ import (
 
 // This file implements chained speculation over page-granular private
 // memory views — the machine half of the throughput engine
-// (sched/engine_throughput.go). Where the parallel engine (spec.go)
-// speculates exactly one quantum per worker against a map overlay, a chain
-// runs many consecutive quanta ("segments") of one virtual worker ahead of
-// its scheduler picks, against a private copy-on-first-touch view of shared
-// memory:
+// (sched/engine_throughput.go, which also holds the correctness argument).
+// A chain runs many consecutive quanta ("segments") of one virtual worker
+// ahead of its scheduler picks, against a private copy-on-first-touch view
+// of shared memory:
 //
 //   - The view privatizes whole pages (ChainPageWords words) on the first
 //     load or store that touches them, copying from shared memory. All
@@ -25,17 +24,17 @@ import (
 //
 //   - Pages double as the conflict-detection granule: the engine indexes
 //     which chains privatized which pages and kills a chain the moment any
-//     other writer touches one of its pages. Page granularity is a strict
-//     superset of the parallel engine's per-address read log, so the
-//     validation argument of spec.go carries over conservatively.
+//     other writer touches one of its pages. Since both loads and stores
+//     privatize, the touched pages cover every address a segment depends
+//     on.
 //
 // A chain runs on the live Worker struct: segments execute back to back
 // without restoring between them, and Finish returns the worker to its
 // launch state. The engine only runs chains while the coordinator is
 // blocked (the launch phase is bulk-synchronous), so shared memory, the
 // thunk map and the observability collector are read-only for the entire
-// time any chain executes — the same race-freedom-by-construction argument
-// as the parallel engine's epoch, extended from one quantum to many.
+// time any chain executes, which makes the phase race-free by
+// construction.
 
 // Page geometry of the chained-speculation views. The shift is exported so
 // the engine's write hooks can map addresses to pages.
@@ -190,7 +189,7 @@ func (c *ChainRun) RunSegment(budget int64) (seg *ChainSeg) {
 		return nil
 	}
 	w := c.w
-	st := &specState{size: c.view.size, view: c.view, prevThunks: c.consumed}
+	st := &specState{view: c.view, prevThunks: c.consumed}
 	w.spec = st
 	startCycles, startPoll := w.Cycles, w.PollSignal
 	defer func() {

@@ -107,7 +107,7 @@ func TestSpecStateViewRouting(t *testing.T) {
 	a := int64(mem.Guard + 4)
 	words[a] = 5
 	v := testView(words)
-	w := &Worker{spec: &specState{size: v.size, view: v}}
+	w := &Worker{spec: &specState{view: v}}
 
 	if got := w.memLoad(a); got != 5 {
 		t.Fatalf("memLoad = %d, want 5", got)

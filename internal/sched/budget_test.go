@@ -53,9 +53,9 @@ func TestCycleBudgetUnboundedRecursion(t *testing.T) {
 	}{
 		{"seq", core.Sequential, apps.Seq, 1, core.EngineSequential},
 		{"st/sequential", core.StackThreads, apps.ST, 4, core.EngineSequential},
-		{"st/parallel", core.StackThreads, apps.ST, 4, core.EngineParallel},
+		{"st/throughput", core.StackThreads, apps.ST, 4, core.EngineThroughput},
 		{"cilk/sequential", core.Cilk, apps.ST, 4, core.EngineSequential},
-		{"cilk/parallel", core.Cilk, apps.ST, 4, core.EngineParallel},
+		{"cilk/throughput", core.Cilk, apps.ST, 4, core.EngineThroughput},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := buildUnboundedRecursion(tc.variant)
@@ -96,8 +96,8 @@ func TestCycleBudgetDeterministicAcrossEngines(t *testing.T) {
 		}
 		return err.Error()
 	}
-	if a, b := run(core.EngineSequential), run(core.EngineParallel); a != b {
-		t.Fatalf("engines aborted differently:\n  sequential: %s\n  parallel:   %s", a, b)
+	if a, b := run(core.EngineSequential), run(core.EngineThroughput); a != b {
+		t.Fatalf("engines aborted differently:\n  sequential: %s\n  throughput: %s", a, b)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestContextCancellation(t *testing.T) {
 	}{
 		{"seq", core.Sequential, apps.Seq, 1, core.EngineSequential},
 		{"st/sequential", core.StackThreads, apps.ST, 4, core.EngineSequential},
-		{"st/parallel", core.StackThreads, apps.ST, 4, core.EngineParallel},
+		{"st/throughput", core.StackThreads, apps.ST, 4, core.EngineThroughput},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := core.Run(apps.Fib(15, tc.variant), core.Config{

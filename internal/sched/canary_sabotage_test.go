@@ -58,9 +58,9 @@ func wantCanaryRule(t *testing.T, engine Engine, err error, rule string) {
 // TestAuditorCatchesClobberedCanary plants a live canary whose recorded
 // value disagrees with memory — exactly the state left behind by a foreign
 // write into retained frame state. The audit at the same pick must return
-// a caller-integrity violation on all three engines.
+// a caller-integrity violation on every engine.
 func TestAuditorCatchesClobberedCanary(t *testing.T) {
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineThroughput} {
+	for _, engine := range []Engine{EngineSequential, EngineThroughput} {
 		cm := machine.NewCanaryMap()
 		armed := false
 		err := canarySabotageRun(t, engine, cm, func(s *scheduler) {
@@ -86,9 +86,9 @@ func TestAuditorCatchesClobberedCanary(t *testing.T) {
 // TestAuditorCatchesEscapedPrivateCanary plants a private canary at a heap
 // address — an unpublished word that migrated out of its owner's stack
 // segments. Its value matches memory, so only the confidentiality rule can
-// fire; the audit must return frame-confidentiality on all three engines.
+// fire; the audit must return frame-confidentiality on every engine.
 func TestAuditorCatchesEscapedPrivateCanary(t *testing.T) {
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineThroughput} {
+	for _, engine := range []Engine{EngineSequential, EngineThroughput} {
 		cm := machine.NewCanaryMap()
 		armed := false
 		err := canarySabotageRun(t, engine, cm, func(s *scheduler) {

@@ -106,22 +106,21 @@ func TestChaosDifferential(t *testing.T) {
 						plan.Seed = seed
 						ctx := fmt.Sprintf("%s mode=%v seed=%d", mk().Name, mode, seed)
 						seq := runFaulted(t, mk, mode, 4, seed, core.EngineSequential, &plan)
-						for _, engine := range []core.Engine{core.EngineParallel, core.EngineThroughput} {
-							p := plan
-							got := runFaulted(t, mk, mode, 4, seed, engine, &p)
-							if !reflect.DeepEqual(seq.res, got.res) {
-								t.Fatalf("%s: %v faulted Result diverged:\nseq: %+v\ngot: %+v", ctx, engine, seq.res, got.res)
-							}
-							if !reflect.DeepEqual(seq.events, got.events) {
-								t.Fatalf("%s: %v faulted event log diverged (%d vs %d events)",
-									ctx, engine, len(seq.events), len(got.events))
-							}
-							if !bytes.Equal(seq.out, got.out) {
-								t.Fatalf("%s: %v faulted output diverged:\nseq: %q\ngot: %q", ctx, engine, seq.out, got.out)
-							}
-							if !bytes.Equal(seq.obs, got.obs) {
-								t.Fatalf("%s: %v faulted obs snapshot diverged", ctx, engine)
-							}
+						engine := core.EngineThroughput
+						p := plan
+						got := runFaulted(t, mk, mode, 4, seed, engine, &p)
+						if !reflect.DeepEqual(seq.res, got.res) {
+							t.Fatalf("%s: %v faulted Result diverged:\nseq: %+v\ngot: %+v", ctx, engine, seq.res, got.res)
+						}
+						if !reflect.DeepEqual(seq.events, got.events) {
+							t.Fatalf("%s: %v faulted event log diverged (%d vs %d events)",
+								ctx, engine, len(seq.events), len(got.events))
+						}
+						if !bytes.Equal(seq.out, got.out) {
+							t.Fatalf("%s: %v faulted output diverged:\nseq: %q\ngot: %q", ctx, engine, seq.out, got.out)
+						}
+						if !bytes.Equal(seq.obs, got.obs) {
+							t.Fatalf("%s: %v faulted obs snapshot diverged", ctx, engine)
 						}
 					}
 				}
@@ -139,7 +138,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 	plan.Seed = 7
 	mk := func() *apps.Workload { return apps.NQueens(6, apps.ST) }
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineThroughput} {
+	for _, engine := range []core.Engine{core.EngineSequential, core.EngineThroughput} {
 		var first diffRun
 		for i := 0; i < 3; i++ {
 			p := plan

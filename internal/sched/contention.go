@@ -3,40 +3,22 @@ package sched
 import "sync/atomic"
 
 // Contention aggregates host-side engine contention counters: how often the
-// parallel engine's speculation machinery launched, committed, reran, or
-// wholesale-discarded work. These counts depend on host timing (how many
-// epochs fit between oracle picks, which speculations survive validation),
-// so — unlike Result and the obs metrics registry — they are NOT
-// deterministic and must never enter a deterministic artifact. They exist
-// for live diagnostics: stserve folds them into its host-side metrics and
-// /debug/jobs, and the coming work-stealing throughput engine will report
-// its steal contention through the same struct.
+// throughput engine's speculation machinery launched, committed, reran, or
+// discarded work, and how its host workers stole chains from each other.
+// These counts depend on host timing (how many chains fit between oracle
+// picks, which segments survive validation), so — unlike Result and the obs
+// metrics registry — they are NOT deterministic and must never enter a
+// deterministic artifact. They exist for live diagnostics: stserve folds
+// them into its host-side metrics and /debug/jobs.
 //
 // All fields are atomics: one Contention may be shared by concurrent runs
 // (the server aggregates a single process-wide instance) and read live
 // while runs are in flight. A nil *Contention disables every update behind
 // one pointer check.
 type Contention struct {
-	// SpecEpochs counts parallel epochs launched (each speculates one
-	// quantum for every runnable worker).
-	SpecEpochs atomic.Int64
-	// SpecLaunched counts individual speculations launched across epochs.
-	SpecLaunched atomic.Int64
-	// SpecCommits counts speculations that validated and committed;
-	// SpecReruns counts picks that had to re-execute the quantum (no
-	// speculation, or validation failed).
-	SpecCommits atomic.Int64
-	SpecReruns  atomic.Int64
-	// SpecDiscards counts speculations thrown away wholesale before their
-	// pick (a thief-driven Cilk steal mutated a running victim mid-epoch).
-	SpecDiscards atomic.Int64
-	// SerialFallbacks counts parallel-engine runs that degraded to pure
+	// SerialFallbacks counts throughput-engine runs that degraded to pure
 	// direct execution (one host slot, or instruction tracing on).
 	SerialFallbacks atomic.Int64
-
-	// The remaining counters belong to the throughput engine
-	// (engine_throughput.go), which speculates multi-quantum chains and
-	// distributes them over per-host-worker deques.
 
 	// ChainEpochs counts bulk-synchronous launch phases; ChainsLaunched
 	// counts chains started across them and ChainSegments the speculated
@@ -68,11 +50,6 @@ type Contention struct {
 
 // ContentionSnapshot is the JSON form of a Contention read.
 type ContentionSnapshot struct {
-	SpecEpochs      int64 `json:"spec_epochs"`
-	SpecLaunched    int64 `json:"spec_launched"`
-	SpecCommits     int64 `json:"spec_commits"`
-	SpecReruns      int64 `json:"spec_reruns"`
-	SpecDiscards    int64 `json:"spec_discards"`
 	SerialFallbacks int64 `json:"serial_fallbacks"`
 
 	ChainEpochs       int64 `json:"chain_epochs"`
@@ -95,11 +72,6 @@ func (c *Contention) Snapshot() ContentionSnapshot {
 		return ContentionSnapshot{}
 	}
 	return ContentionSnapshot{
-		SpecEpochs:      c.SpecEpochs.Load(),
-		SpecLaunched:    c.SpecLaunched.Load(),
-		SpecCommits:     c.SpecCommits.Load(),
-		SpecReruns:      c.SpecReruns.Load(),
-		SpecDiscards:    c.SpecDiscards.Load(),
 		SerialFallbacks: c.SerialFallbacks.Load(),
 
 		ChainEpochs:       c.ChainEpochs.Load(),

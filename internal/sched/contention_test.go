@@ -10,9 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
-// TestContentionCountersTrackSpeculation runs the parallel engine with a
+// TestContentionCountersTrackSpeculation runs the throughput engine with a
 // Contention sink attached and cross-checks its counts against the white-
-// box speculation hook: the host-side diagnostics must agree with what the
+// box chain hook: the host-side diagnostics must agree with what the
 // engine actually did, and must not perturb the result.
 func TestContentionCountersTrackSpeculation(t *testing.T) {
 	w := apps.Fib(18, apps.ST)
@@ -23,7 +23,7 @@ func TestContentionCountersTrackSpeculation(t *testing.T) {
 	run := func(cont *Contention, prog2 *obs.Progress) *Result {
 		m := machine.New(prog, mem.New(1<<20), isa.SPARC(), 4, machine.Options{Seed: 1})
 		res, err := Run(m, w.Entry, w.Args, Config{
-			Mode: ModeST, Seed: 1, Engine: EngineParallel, HostProcs: 4,
+			Mode: ModeST, Seed: 1, Engine: EngineThroughput, HostProcs: 4,
 			Contention: cont, Progress: prog2,
 		})
 		if err != nil {
@@ -33,19 +33,19 @@ func TestContentionCountersTrackSpeculation(t *testing.T) {
 	}
 
 	var hookCommits, hookReruns int64
-	testHookSpecStats = func(c, r int64) { hookCommits, hookReruns = c, r }
-	defer func() { testHookSpecStats = nil }()
+	testHookChainStats = func(c, r int64) { hookCommits, hookReruns = c, r }
+	defer func() { testHookChainStats = nil }()
 
 	cont := &Contention{}
 	progress := &obs.Progress{}
 	res := run(cont, progress)
 	snap := cont.Snapshot()
 
-	if snap.SpecCommits != hookCommits || snap.SpecReruns != hookReruns {
+	if snap.ChainCommits != hookCommits || snap.ChainReruns != hookReruns {
 		t.Errorf("contention (commits=%d reruns=%d) disagrees with hook (commits=%d reruns=%d)",
-			snap.SpecCommits, snap.SpecReruns, hookCommits, hookReruns)
+			snap.ChainCommits, snap.ChainReruns, hookCommits, hookReruns)
 	}
-	if snap.SpecEpochs == 0 || snap.SpecLaunched < snap.SpecCommits {
+	if snap.ChainEpochs == 0 || snap.ChainSegments < snap.ChainCommits {
 		t.Errorf("implausible epoch accounting: %+v", snap)
 	}
 	if progress.Picks.Load() == 0 {

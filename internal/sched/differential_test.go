@@ -129,7 +129,7 @@ func diffCompare(t *testing.T, ctx string, engine core.Engine, seq, got diffRun)
 
 // TestEngineDifferential is the equivalence matrix — the differential
 // oracle of every non-sequential engine: for every workload × mode ×
-// worker count × seed, the parallel and throughput engines must produce
+// worker count × seed, the throughput engine must produce
 // byte-identical Result, program output, sorted event log, and
 // observability state (metrics, phase attribution, profile, trace) to the
 // sequential engine, with the invariant checker on.
@@ -152,10 +152,8 @@ func TestEngineDifferential(t *testing.T) {
 						}
 						seq := runEngine(t, mk, mode, workers, seed, core.EngineSequential)
 						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d", mode, workers, seed)
-						for _, engine := range []core.Engine{core.EngineParallel, core.EngineThroughput} {
-							got := runEngine(t, mk, mode, workers, seed, engine)
-							diffCompare(t, ctx, engine, seq, got)
-						}
+						got := runEngine(t, mk, mode, workers, seed, core.EngineThroughput)
+						diffCompare(t, ctx, core.EngineThroughput, seq, got)
 					}
 				}
 			}
@@ -163,26 +161,25 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelEngineDeterminism reruns the non-sequential engines against
-// themselves: host scheduling must never leak into results.
-func TestParallelEngineDeterminism(t *testing.T) {
+// TestSpeculativeEngineDeterminism reruns the speculative engine against
+// itself: host scheduling must never leak into results.
+func TestSpeculativeEngineDeterminism(t *testing.T) {
 	mk := func() *apps.Workload { return apps.NQueens(7, apps.ST) }
-	for _, engine := range []core.Engine{core.EngineParallel, core.EngineThroughput} {
-		t.Run(engine.String(), func(t *testing.T) {
-			var first diffRun
-			for i := 0; i < 3; i++ {
-				r := runEngine(t, mk, core.StackThreads, 6, 9, engine)
-				if i == 0 {
-					first = r
-					continue
-				}
-				if !reflect.DeepEqual(first.res, r.res) || !reflect.DeepEqual(first.events, r.events) ||
-					!bytes.Equal(first.obs, r.obs) {
-					t.Fatalf("%v engine run %d diverged from run 0", engine, i)
-				}
+	engine := core.EngineThroughput
+	t.Run(engine.String(), func(t *testing.T) {
+		var first diffRun
+		for i := 0; i < 3; i++ {
+			r := runEngine(t, mk, core.StackThreads, 6, 9, engine)
+			if i == 0 {
+				first = r
+				continue
 			}
-		})
-	}
+			if !reflect.DeepEqual(first.res, r.res) || !reflect.DeepEqual(first.events, r.events) ||
+				!bytes.Equal(first.obs, r.obs) {
+				t.Fatalf("%v engine run %d diverged from run 0", engine, i)
+			}
+		}
+	})
 }
 
 // runEngineJIT is runEngine without the observability collector: per-worker
@@ -243,7 +240,7 @@ func TestJITDifferential(t *testing.T) {
 						seq := runEngineJIT(t, mk, mode, workers, seed, core.EngineSequential, false)
 						ctx := fmt.Sprintf("mode=%v workers=%d seed=%d jit=on", mode, workers, seed)
 						for _, engine := range []core.Engine{
-							core.EngineSequential, core.EngineParallel, core.EngineThroughput,
+							core.EngineSequential, core.EngineThroughput,
 						} {
 							got := runEngineJIT(t, mk, mode, workers, seed, engine, true)
 							diffCompare(t, ctx, engine, seq, got)

@@ -9,67 +9,81 @@ import (
 	"repro/internal/machine"
 )
 
-// This file is the throughput engine. Like the parallel engine it is
-// result-deterministic — byte-identical Result, metrics, events and output
-// to the sequential oracle for every configuration and seed — but it
+// This file is the throughput engine, the repo's one speculative engine. It
+// is result-deterministic — byte-identical Result, metrics, events and
+// output to the sequential oracle for every configuration and seed — yet
 // extracts real host speedup by speculating *chains* of quanta per virtual
-// worker and distributing them over per-host-core work-stealing deques:
+// worker and distributing them over per-host-core work-stealing deques.
 //
 // Launch phase (bulk-synchronous, coordinator blocked). Every running
 // worker without a live chain starts one (machine.Worker.BeginChain): a
 // pipeline of up to maxChainSegs consecutive quanta executed on the live
 // Worker struct against a page-granular private view of shared memory
-// (specview.go). The chains are dealt round-robin onto per-host-worker
-// deques; each host worker runs chains from its own deque top and steals
-// from other deques' bottoms when it drains — LTC's steal-the-oldest,
-// lifted onto host threads (§4.2). During the phase no shared state is
-// written (speculative stores go to private pages + a write log; every
-// worker is restored to its launch state before the phase ends), so it is
-// read-only and race-free by construction — the parallel engine's epoch
-// argument, extended from one quantum to many.
+// (machine/specview.go). The chains are dealt round-robin onto
+// per-host-worker deques; each host worker runs chains from its own deque
+// top and steals from other deques' bottoms when it drains — LTC's
+// steal-the-oldest, lifted onto host threads (§4.2). During the phase the
+// coordinator blocks and no shared state is written: speculative stores go
+// to private pages plus a write log, thunk consumption and observability
+// emissions are buffered, and every worker is restored to its launch state
+// before the phase ends. The phase is therefore read-only and race-free by
+// construction.
 //
 // Replay phase (coordinator only). The coordinator runs the exact
-// sequential pick loop. At a running worker's pick, its chain's next
-// segment is adopted iff it provably equals the quantum the oracle would
-// run right now:
+// sequential pick loop — next() always selects the least-advanced
+// actionable worker, ties broken by the lowest index. At a running
+// worker's pick, its chain's next segment is adopted iff it provably
+// equals the quantum the oracle would run right now:
 //
 //  1. no conflict: no address in any page the chain touched has been
 //     stored to since launch, except by the chain's own earlier commits.
 //     The engine keeps a page → chain-slot bitmask index; the machine's
-//     store hook marks every non-speculative store's page, and commit
-//     flushes mark pages against every *other* chain. Pages are a strict
-//     superset of the parallel engine's per-address read log, so this is
-//     conservative in the safe direction;
+//     store hook marks the page of every non-speculative store (including
+//     the coordinator's own barrier-time writes), and commit flushes mark
+//     their pages against every *other* chain. Loads privatize pages too,
+//     so the touched pages cover every address the segment read;
 //  2. the worker still holds the state the segment started from (clock and
 //     poll signal — the scheduler advances a running worker in no other
 //     way), which also chains segment k to segment k-1's committed state;
 //  3. shared memory has not been remapped since launch (size unchanged);
 //  4. every restart thunk the segment consumed is still registered.
 //
-// An adopted segment commits (post-state installed, write log flushed in
-// program order, thunks consumed, buffered observability replayed);
-// otherwise the whole remaining chain is discarded — segment k failing
-// means k+1 can no longer match — and the quantum reruns directly, exactly
-// as the sequential engine would have run it. Order-dependent operations
-// (heap allocation, shared PRNG, thunk numbering, output) abort chain
-// construction at execution time, so they only ever run in oracle order.
+// Under these conditions the segment read exactly the values the oracle's
+// quantum would read (1, 3), started from the identical architectural state
+// (2) and found the same thunks (4). Its execution is a deterministic
+// function of those inputs, and order-dependent operations (heap
+// allocation, shared PRNG, thunk numbering, output) abort chain
+// construction at execution time, so they only ever run directly in oracle
+// order. An adopted segment commits (post-state installed, write log
+// flushed in program order, thunks consumed, buffered observability
+// replayed in program order), which leaves shared and worker state exactly
+// as the direct quantum would. Otherwise the whole remaining chain is
+// discarded — segment k failing means k+1 can no longer match — and the
+// quantum reruns directly, exactly as the sequential engine would run it.
 // Chains extend only past EvBudget boundaries: any other event hands
 // control to scheduler code whose effects (and cycle charges) are
 // coordinator-side, so speculating past one cannot match.
 //
-// Since every pick either reruns the quantum directly or commits a segment
-// proven equal to that rerun, the induction of engine_parallel.go applies
-// unchanged and the engine is byte-identical to the oracle. What changed
-// is the speedup model: a chain is many quanta long, executes through the
+// By induction over picks: both engines start from the same state, and
+// every pick either reruns the quantum directly or commits a segment proven
+// equal to that rerun, so after every pick the machines agree and the
+// engine's sequence of state transitions — and therefore Result, metrics,
+// and event log — is byte-identical to the sequential engine's. The
+// sequential engine stays on as the differential oracle
+// (TestEngineDifferential).
+//
+// One regime needs extra care: Cilk steals are thief-driven, so an idle
+// step can mutate a *running* victim (readyq pop or a direct stack detach)
+// without touching its clock. A later commit or restore of that victim's
+// segments would resurrect the stolen work, so a successful Cilk steal
+// discards every outstanding chain. ST-mode steals only post a request and
+// raise the victim's poll signal, which check 2 catches.
+//
+// The speedup model: a chain is many quanta long, executes through the
 // interpreter's batched fast path (runBlockView), and its adoptions cost
 // only a state swap plus a write-log flush — so between launches the
 // coordinator mostly adopts instead of executing, and the host cores do
 // the real work in parallel.
-//
-// Cilk steals are thief-driven and mutate running victims without touching
-// their clocks, so — as in the parallel engine — a successful Cilk steal
-// discards every outstanding chain. ST-mode steals raise the victim's poll
-// signal, which check 2 catches.
 
 // testHookChainStats, when set (white-box tests only), receives the
 // throughput engine's segment outcome counts when its loop returns.

@@ -44,9 +44,9 @@ func sabotageRun(t *testing.T, engine Engine, hook func(s *scheduler)) error {
 
 // TestAuditorCatchesSabotagedMachine plants a frame in a worker's exported
 // set that the max-E protocol never published. The §3.2 audit at the same
-// pick must return a typed section-3.2 violation on both engines.
+// pick must return a typed section-3.2 violation on every engine.
 func TestAuditorCatchesSabotagedMachine(t *testing.T) {
-	for _, engine := range []Engine{EngineSequential, EngineParallel} {
+	for _, engine := range []Engine{EngineSequential, EngineThroughput} {
 		armed := false
 		err := sabotageRun(t, engine, func(s *scheduler) {
 			if armed {

@@ -88,7 +88,7 @@ const (
 
 // Engine selects the host execution strategy. Every engine produces
 // byte-identical results for the same configuration and seed; see
-// engine_parallel.go and engine_throughput.go for the arguments.
+// engine_throughput.go for the argument.
 type Engine int
 
 // Host execution strategies.
@@ -96,9 +96,6 @@ const (
 	// EngineSequential steps the least-advanced worker on the calling
 	// goroutine — the reference engine and differential oracle.
 	EngineSequential Engine = iota
-	// EngineParallel speculates upcoming quanta on multiple host goroutines
-	// and commits them in the oracle's pick order.
-	EngineParallel
 	// EngineThroughput speculates multi-quantum chains per virtual worker,
 	// distributed over per-host-core work-stealing deques, and adopts them
 	// segment by segment in the oracle's pick order.
@@ -106,10 +103,7 @@ const (
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineParallel:
-		return "parallel"
-	case EngineThroughput:
+	if e == EngineThroughput {
 		return "throughput"
 	}
 	return "sequential"
@@ -138,7 +132,7 @@ type Config struct {
 	Stop func() error
 	// Engine selects the host execution strategy (default sequential).
 	Engine Engine
-	// HostProcs caps the goroutines the parallel engine speculates on
+	// HostProcs caps the goroutines the throughput engine speculates on
 	// (default runtime.GOMAXPROCS(0)).
 	HostProcs int
 	// Events, when non-nil, collects the run's migration-level history.
@@ -263,10 +257,7 @@ func newScheduler(m *machine.Machine, cfg Config) (*scheduler, error) {
 // result.
 func (s *scheduler) execute() (*Result, error) {
 	loop := s.loop
-	switch s.cfg.Engine {
-	case EngineParallel:
-		loop = s.loopParallel
-	case EngineThroughput:
+	if s.cfg.Engine == EngineThroughput {
 		loop = s.loopThroughput
 	}
 	err := s.protected(loop)

@@ -14,7 +14,8 @@ import (
 
 // TestServingPathDeterminism is the serving-path determinism contract: a
 // job served cold, the same tuple served from the cache, and the same tuple
-// re-executed by the parallel engine with the cache bypassed all return
+// re-executed by the throughput engine (at two host-proc counts) with the
+// cache bypassed all return
 // byte-identical Result, metrics, profile, and trace — and all match a
 // direct core.Run with an obs collector, outside the server entirely.
 func TestServingPathDeterminism(t *testing.T) {
@@ -37,8 +38,8 @@ func TestServingPathDeterminism(t *testing.T) {
 	base := JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3}
 	cold := submit(base)
 	hit := submit(base)
-	par := submit(JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3,
-		Engine: "parallel", NoCache: true})
+	tp4 := submit(JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3,
+		Engine: "throughput", HostProcs: 4, NoCache: true})
 	tp := submit(JobRequest{App: "fib", Mode: "st", Workers: 4, Seed: 3,
 		Engine: "throughput", NoCache: true})
 
@@ -83,7 +84,7 @@ func TestServingPathDeterminism(t *testing.T) {
 	}
 	check("cold", cold)
 	check("cache-hit", hit)
-	check("parallel-engine", par)
+	check("throughput-engine-4procs", tp4)
 	check("throughput-engine", tp)
 }
 

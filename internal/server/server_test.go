@@ -93,6 +93,7 @@ func TestSubmitValidation(t *testing.T) {
 		{App: "fib", Mode: "warp"},
 		{App: "fib", CPU: "z80"},
 		{App: "fib", Engine: "quantum"},
+		{App: "fib", Engine: "parallel"},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("bad request %+v accepted", req)
@@ -372,6 +373,10 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if resp, _ := post(`{"app":"no-such-benchmark"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad benchmark status = %d, want 400", resp.StatusCode)
+	}
+	if resp, v := post(`{"app":"fib","engine":"parallel"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(v.Error, "valid engines: sequential, throughput") {
+		t.Fatalf("deleted engine: status = %d, error %q; want 400 naming the valid engines", resp.StatusCode, v.Error)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/j-999", nil)
 	delResp, err := http.DefaultClient.Do(req)
