@@ -115,7 +115,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 		case EvBudget, EvPoll:
 			continue
 		case EvHalt:
-			wordsF, wordsS := mf.Mem.Words(), ms.Mem.Words()
+			wordsF, wordsS := mf.Mem.ExportState().Words, ms.Mem.ExportState().Words
 			if len(wordsF) != len(wordsS) {
 				t.Fatalf("memory sizes diverged: %d vs %d", len(wordsF), len(wordsS))
 			}
@@ -186,7 +186,7 @@ func TestFastPathTrapStateExact(t *testing.T) {
 
 // TestSpeculationFastPathCoherence drives the decode cache through the
 // speculation substrate with a one-segment chain (which runs batched
-// through runBlockView): the chain must restore the exact pre-chain state,
+// through runBlock in view mode): the chain must restore the exact pre-chain state,
 // leak no store to shared memory, its commit must land the worker in the
 // same state as a direct fast-path run, and a forbidden-operation abort
 // must kill the chain and leave no trace.
@@ -236,7 +236,7 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 	}
 
 	// 2. No speculative store reached shared memory.
-	if got := mSpec.Mem.Words()[mem.Guard]; got != 0 {
+	if got := mSpec.Mem.Load(mem.Guard); got != 0 {
 		t.Fatalf("speculative stores leaked to shared memory: cell = %d", got)
 	}
 
@@ -248,10 +248,10 @@ func TestSpeculationFastPathCoherence(t *testing.T) {
 		t.Fatalf("direct run event %v, want EvBudget", ev)
 	}
 	diffWorker(t, "after commit", wSpec, wDirect)
-	if a, b := mSpec.Mem.Words()[mem.Guard], mDirect.Mem.Words()[mem.Guard]; a != b {
+	if a, b := mSpec.Mem.Load(mem.Guard), mDirect.Mem.Load(mem.Guard); a != b {
 		t.Fatalf("heap cell diverged after commit: spec=%d direct=%d", a, b)
 	}
-	if want := int64(mem.Guard) >> ChainPageShift; !slices.Contains(pages, want) {
+	if want := int64(mem.Guard) >> mem.PageShift; !slices.Contains(pages, want) {
 		t.Fatalf("commit reported pages %v, missing the heap cell's page %d", pages, want)
 	}
 
@@ -303,7 +303,7 @@ func TestFastPathDegenerateBudgets(t *testing.T) {
 			case EvBudget, EvPoll:
 				continue
 			case EvHalt:
-				wordsF, wordsS := mf.Mem.Words(), ms.Mem.Words()
+				wordsF, wordsS := mf.Mem.ExportState().Words, ms.Mem.ExportState().Words
 				for a := range wordsF {
 					if wordsF[a] != wordsS[a] {
 						t.Fatalf("memory diverged at %d: fast=%d slow=%d", a, wordsF[a], wordsS[a])

@@ -57,12 +57,11 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	dec := w.M.dec
 	// The batched fast path executes with deferred state writes, so it
 	// requires an execution environment with no per-instruction side
-	// channels: no tracing and no observability. Plain execution batches
-	// through runBlock (direct memory, inline store-hook calls); a
-	// speculative segment batches through runBlockView (page-view memory
-	// with a write log). Everything the batch skips is observationally
-	// redundant, so turning it off (NoFastPath) changes nothing but host
-	// speed.
+	// channels: no tracing and no observability. runBlock serves plain
+	// execution (shared page table, inline store-hook calls) and
+	// speculative segments (the chain's page view, with a write log) alike.
+	// Everything the batch skips is observationally redundant, so turning
+	// it off (NoFastPath) changes nothing but host speed.
 	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil && w.Obs == nil
 	// The trace JIT additionally requires plain (non-speculative) memory:
 	// speculative segments must log page-view writes, so they stay on the
@@ -119,11 +118,7 @@ func (w *Worker) Run(budget int64) (ev Event) {
 
 		d := &dec[pc]
 		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) {
-			if sp := w.spec; sp != nil {
-				w.runBlockView(pc, d, sp)
-			} else {
-				w.runBlock(pc, d)
-			}
+			w.runBlock(pc, d)
 			continue
 		}
 
@@ -309,20 +304,21 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 // starting at pc `start` as one batch: registers and memory update in place,
 // but PC, cycles and the instruction count are written once at the end. The
 // caller has already verified the entire run fits under the budget deadline
-// and that the execution environment is plain (no tracing, observability or
-// speculation), and straightline instructions cannot branch or reach the
-// runtime, so no per-instruction checks are needed and memory is accessed
-// directly with an inline guard check (stores still report to the machine's
-// store hook, exactly as memStore would). The only panics a block can
-// raise are its own simulated faults, each preceded by blockSync, which
+// and that the execution environment has no tracing or observability, and
+// straightline instructions cannot branch or reach the runtime, so no
+// per-instruction checks are needed. Memory is accessed exactly as
+// memLoad/memStore would, inlined: through the worker's page table (shared,
+// or a chain's private view) with a bounds check against its extent, so
+// traps replicate the oracle's exactly. The only panics a block can raise
+// are its own simulated faults, each preceded by blockSync, which
 // synchronizes PC/cycles/instruction count to the exact state the
 // per-instruction path would hold at the trap (the faulting instruction
 // charged and counted, w.PC naming it) — required both for Run's trap
 // formatting and for the engines' trap-state determinism.
 func (w *Worker) runBlock(start int64, d0 *decoded) {
 	dec := w.M.dec
-	words := w.M.Mem.Words()
-	size := int64(len(words))
+	sp := w.spec
+	pages, size := w.memTable()
 	end := start + int64(d0.runLen)
 	regs := &w.Regs
 	for pc := start; pc < end; pc++ {
@@ -370,147 +366,43 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			regs[d.rd] = words[a]
+			if pg := pages[a>>mem.PageShift]; pg != nil {
+				regs[d.rd] = pg[a&mem.PageMask]
+			} else {
+				regs[d.rd] = w.loadMiss(a)
+			}
 		case isa.Store:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "store", a)
 			}
-			if h := w.M.storeHook; h != nil {
+			pg := pages[a>>mem.PageShift]
+			if pg == nil {
+				pg = w.pageMiss(a)
+			}
+			v := regs[d.rb]
+			if sp != nil {
+				sp.wlog = append(sp.wlog, memWrite{a, v})
+			} else if h := w.M.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = regs[d.rb]
+			pg[a&mem.PageMask] = v
 		case isa.Tas:
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
 			}
-			regs[d.rd] = words[a]
-			if h := w.M.storeHook; h != nil {
+			pg := pages[a>>mem.PageShift]
+			if pg == nil {
+				pg = w.pageMiss(a)
+			}
+			regs[d.rd] = pg[a&mem.PageMask]
+			if sp != nil {
+				sp.wlog = append(sp.wlog, memWrite{a, 1})
+			} else if h := w.M.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = 1
-		case isa.FAdd:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
-		case isa.FSub:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) - b2f(regs[d.rb]))
-		case isa.FMul:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) * b2f(regs[d.rb]))
-		case isa.FDiv:
-			regs[d.rd] = f2b(b2f(regs[d.ra]) / b2f(regs[d.rb]))
-		case isa.FNeg:
-			regs[d.rd] = f2b(-b2f(regs[d.ra]))
-		case isa.FCmp:
-			a, b := b2f(regs[d.ra]), b2f(regs[d.rb])
-			switch {
-			case a < b:
-				regs[d.rd] = -1
-			case a > b:
-				regs[d.rd] = 1
-			default:
-				regs[d.rd] = 0
-			}
-		case isa.ItoF:
-			regs[d.rd] = f2b(float64(regs[d.ra]))
-		case isa.FtoI:
-			regs[d.rd] = int64(b2f(regs[d.ra]))
-		default:
-			// Unreachable: only Straightline ops are batched.
-			w.blockSync(start, pc, d0)
-			w.fail(pc, "illegal opcode %v", d.op)
-		}
-	}
-	w.Cycles += int64(d0.runCost)
-	w.Stats.Instrs += int64(d0.runLen)
-	w.PC = end
-}
-
-// runBlockView is runBlock for a chained speculation (specview.go): memory
-// accesses go through the chain's page-granular private view — pages
-// privatize on first touch, then load and store at array speed — and every
-// store is appended to the segment's write log. Bounds are checked against
-// the view's frozen size so traps replicate the oracle's exactly; trap
-// panics unwind to Run's recover just as on the per-instruction path.
-func (w *Worker) runBlockView(start int64, d0 *decoded, sp *specState) {
-	dec := w.M.dec
-	v := sp.view
-	size := v.size
-	end := start + int64(d0.runLen)
-	regs := &w.Regs
-	for pc := start; pc < end; pc++ {
-		d := &dec[pc]
-		switch d.op {
-		case isa.Nop:
-		case isa.Const:
-			regs[d.rd] = d.imm
-		case isa.Mov:
-			regs[d.rd] = regs[d.ra]
-		case isa.Add:
-			regs[d.rd] = regs[d.ra] + regs[d.rb]
-		case isa.Sub:
-			regs[d.rd] = regs[d.ra] - regs[d.rb]
-		case isa.Mul:
-			regs[d.rd] = regs[d.ra] * regs[d.rb]
-		case isa.Div:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "division by zero")
-			}
-			regs[d.rd] = regs[d.ra] / regs[d.rb]
-		case isa.Mod:
-			if regs[d.rb] == 0 {
-				w.blockSync(start, pc, d0)
-				w.fail(pc, "modulo by zero")
-			}
-			regs[d.rd] = regs[d.ra] % regs[d.rb]
-		case isa.And:
-			regs[d.rd] = regs[d.ra] & regs[d.rb]
-		case isa.Or:
-			regs[d.rd] = regs[d.ra] | regs[d.rb]
-		case isa.Xor:
-			regs[d.rd] = regs[d.ra] ^ regs[d.rb]
-		case isa.Shl:
-			regs[d.rd] = regs[d.ra] << uint64(regs[d.rb]&63)
-		case isa.Shr:
-			regs[d.rd] = regs[d.ra] >> uint64(regs[d.rb]&63)
-		case isa.AddI:
-			regs[d.rd] = regs[d.ra] + d.imm
-		case isa.MulI:
-			regs[d.rd] = regs[d.ra] * d.imm
-		case isa.Load:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			pg := v.pages[a>>ChainPageShift]
-			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
-			}
-			regs[d.rd] = pg.words[a&chainPageMask]
-		case isa.Store:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "store", a)
-			}
-			pg := v.pages[a>>ChainPageShift]
-			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
-			}
-			val := regs[d.rb]
-			pg.words[a&chainPageMask] = val
-			sp.wlog = append(sp.wlog, memWrite{a, val})
-		case isa.Tas:
-			a := regs[d.ra] + d.imm
-			if a < mem.Guard || a >= size {
-				w.blockTrap(start, pc, d0, "load", a)
-			}
-			pg := v.pages[a>>ChainPageShift]
-			if pg == nil {
-				pg = v.privatize(a >> ChainPageShift)
-			}
-			regs[d.rd] = pg.words[a&chainPageMask]
-			pg.words[a&chainPageMask] = 1
-			sp.wlog = append(sp.wlog, memWrite{a, 1})
+			pg[a&mem.PageMask] = 1
 		case isa.FAdd:
 			regs[d.rd] = f2b(b2f(regs[d.ra]) + b2f(regs[d.rb]))
 		case isa.FSub:

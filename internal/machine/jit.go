@@ -36,11 +36,9 @@ import (
 // property tests (jit_test.go) and the engine equivalence matrix prove the
 // artifacts are byte-identical with it on or off.
 //
-// Speculation: speculative segments execute against page-granular private
-// views with write logging, so the JIT is gated off whenever w.spec != nil
-// (the same reasoning that keeps runBlock plain). Spec views thus keep
-// seeing every write through their own path; the JIT never bypasses them
-// because it never runs under them.
+// Speculation: the JIT indexes the shared page table, so it is gated off
+// whenever w.spec != nil; speculative segments run through runBlock against
+// their private views, which log every write.
 
 const (
 	// jitHotThreshold is the arrival count at which a head pc compiles.
@@ -557,6 +555,25 @@ func (w *Worker) jitRunTrap(s *jitStep, firstPC int64, i int, opCost int64, kind
 	panic(&mem.Trap{Kind: kind, Addr: a})
 }
 
+// pageWord reads a (bounds-checked by the caller) from a page table; an
+// absent page reads zero.
+func pageWord(pages []*mem.Page, a int64) int64 {
+	if pg := pages[a>>mem.PageShift]; pg != nil {
+		return pg[a&mem.PageMask]
+	}
+	return 0
+}
+
+// storeWord writes a (bounds-checked by the caller) through the shared page
+// table, materializing an absent page.
+func storeWord(mm *mem.Memory, pages []*mem.Page, a, v int64) {
+	pg := pages[a>>mem.PageShift]
+	if pg == nil {
+		pg = mm.Materialize(a >> mem.PageShift)
+	}
+	pg[a&mem.PageMask] = v
+}
+
 // runJIT executes compiled traces starting at t until an event must be
 // returned (done=true) or control leaves the trace cache (done=false, with
 // w.PC, w.Cycles and w.Stats.Instrs synchronized for the outer loop). The
@@ -571,8 +588,9 @@ func (w *Worker) jitRunTrap(s *jitStep, firstPC int64, i int, opCost int64, kind
 func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 	j := w.jit
 	m := w.M
-	words := m.Mem.Words()
-	size := int64(len(words))
+	mm := m.Mem
+	pages := mm.Pages()
+	size := mm.Size()
 	regs := &w.Regs
 	steps := t.steps
 	si := 0
@@ -636,7 +654,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				w.jitSync(s)
 				panic(&mem.Trap{Kind: "load", Addr: a})
 			}
-			regs[s.rd] = words[a]
+			regs[s.rd] = pageWord(pages, a)
 			continue
 		case jopStore:
 			a := regs[s.ra] + s.imm
@@ -647,7 +665,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 			if h := m.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = regs[s.rb]
+			storeWord(mm, pages, a, regs[s.rb])
 			continue
 		case jopTas:
 			a := regs[s.ra] + s.imm
@@ -655,11 +673,11 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				w.jitSync(s)
 				panic(&mem.Trap{Kind: "load", Addr: a})
 			}
-			regs[s.rd] = words[a]
+			regs[s.rd] = pageWord(pages, a)
 			if h := m.storeHook; h != nil {
 				h(a)
 			}
-			words[a] = 1
+			storeWord(mm, pages, a, 1)
 			continue
 		case jopLoadRun:
 			cost := int64(m.Cost.OpCost[isa.Load])
@@ -669,7 +687,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				if a < mem.Guard || a >= size {
 					w.jitRunTrap(s, int64(s.pc), i, cost, "load", a)
 				}
-				regs[p.reg] = words[a]
+				regs[p.reg] = pageWord(pages, a)
 			}
 			continue
 		case jopStoreRun:
@@ -684,7 +702,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				if hook != nil {
 					hook(a)
 				}
-				words[a] = regs[p.reg]
+				storeWord(mm, pages, a, regs[p.reg])
 			}
 			continue
 		case jopStoreRunC, jopStoreRunA:
@@ -706,7 +724,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				if hook != nil {
 					hook(a)
 				}
-				words[a] = regs[p.reg]
+				storeWord(mm, pages, a, regs[p.reg])
 			}
 			continue
 		case jopFAdd:
@@ -804,7 +822,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				w.PC = int64(s.pc)
 				panic(&mem.Trap{Kind: "load", Addr: a})
 			}
-			regs[p.reg] = words[a]
+			regs[p.reg] = pageWord(pages, a)
 			x, y := regs[s.ra], regs[s.rb]
 			var taken bool
 			switch s.kind {
@@ -847,7 +865,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				w.PC = int64(s.pc)
 				panic(&mem.Trap{Kind: "load", Addr: a0})
 			}
-			regs[p0.reg] = words[a0]
+			regs[p0.reg] = pageWord(pages, a0)
 			regs[s.rd] = regs[s.ra]
 			p1 := &s.pairs[1]
 			a1 := regs[p1.base] + p1.imm
@@ -857,7 +875,7 @@ func (w *Worker) runJIT(t *jitTrace, deadline int64) (ev Event, done bool) {
 				w.PC = int64(s.pc) + 2
 				panic(&mem.Trap{Kind: "load", Addr: a1})
 			}
-			regs[p1.reg] = words[a1]
+			regs[p1.reg] = pageWord(pages, a1)
 			w.Cycles += int64(s.cyc)
 			w.Stats.Instrs += int64(s.ins)
 			pc := regs[s.rb]

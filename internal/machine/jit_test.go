@@ -108,7 +108,7 @@ func TestJITLockstepMatchesReference(t *testing.T) {
 						}
 						continue
 					case EvHalt:
-						wordsR, wordsJ := ms.Mem.Words(), mj.Mem.Words()
+						wordsR, wordsJ := ms.Mem.ExportState().Words, mj.Mem.ExportState().Words
 						for a := range wordsR {
 							if wordsR[a] != wordsJ[a] {
 								t.Fatalf("memory diverged at %d: ref=%d jit=%d", a, wordsR[a], wordsJ[a])

@@ -16,6 +16,7 @@ package machine
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/exportset"
 	"repro/internal/isa"
@@ -165,6 +166,8 @@ type Machine struct {
 	// storeHook, when non-nil, observes the address of every
 	// non-speculative shared-memory store (see SetStoreHook in spec.go).
 	storeHook func(a int64)
+	// views pools the emptied *pageView of finished chains (specview.go).
+	views sync.Pool
 }
 
 // thunk is the side record behind a patched return address: when control
@@ -196,10 +199,6 @@ func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers in
 	if opts.Out == nil {
 		opts.Out = io.Discard
 	}
-	// Each worker maps a stack plus 8 words of worker-local storage below;
-	// reserving the footprint up front makes those mappings extend the
-	// backing array in place instead of reallocating and copying it.
-	memory.Reserve(int64(nWorkers) * (opts.StackWords + 8))
 	m := &Machine{
 		Prog:      prog,
 		Mem:       memory,
@@ -209,6 +208,7 @@ func New(prog *isa.Program, memory *mem.Memory, cost *isa.CostModel, nWorkers in
 		nextThunk: magicThunkBase,
 		rng:       opts.Seed*2862933555777941757 + 3037000493,
 	}
+	m.views.New = func() any { return &pageView{} }
 	m.descAt = make([]*isa.Desc, len(prog.Code))
 	m.isForkPC = make([]bool, len(prog.Code))
 	m.isCheckPC = make([]bool, len(prog.Code))

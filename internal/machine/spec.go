@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exportset"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -76,28 +77,63 @@ func (s *specState) consumed(pc int64) bool {
 	return false
 }
 
-// memLoad is the worker-side memory read: through the page view during
-// speculation, a plain shared load otherwise.
-func (w *Worker) memLoad(a int64) int64 {
+// memTable returns the page table and extent this worker's accesses see:
+// the chain's private view during speculation, shared memory otherwise.
+func (w *Worker) memTable() ([]*mem.Page, int64) {
 	if s := w.spec; s != nil {
-		return s.view.load(a)
+		return s.view.pages, s.view.size
 	}
-	return w.M.Mem.Load(a)
+	return w.M.Mem.Pages(), w.M.Mem.Size()
 }
 
-// memStore is the worker-side memory write: a logged page-view store during
-// speculation; otherwise a shared store, reported to the machine's store
-// hook (the engine's conflict record) when one is installed.
-func (w *Worker) memStore(a, v int64) {
-	if s := w.spec; s != nil {
-		s.view.store(a, v)
-		s.wlog = append(s.wlog, memWrite{a, v})
-		return
+// memLoad is the worker-side memory read.
+func (w *Worker) memLoad(a int64) int64 {
+	pages, size := w.memTable()
+	if a < mem.Guard || a >= size {
+		panic(&mem.Trap{Kind: "load", Addr: a})
 	}
-	if h := w.M.storeHook; h != nil {
+	if pg := pages[a>>mem.PageShift]; pg != nil {
+		return pg[a&mem.PageMask]
+	}
+	return w.loadMiss(a)
+}
+
+// memStore is the worker-side memory write: logged during speculation;
+// otherwise reported to the machine's store hook (the engine's conflict
+// record) when one is installed.
+func (w *Worker) memStore(a, v int64) {
+	pages, size := w.memTable()
+	if a < mem.Guard || a >= size {
+		panic(&mem.Trap{Kind: "store", Addr: a})
+	}
+	pg := pages[a>>mem.PageShift]
+	if pg == nil {
+		pg = w.pageMiss(a)
+	}
+	if s := w.spec; s != nil {
+		s.wlog = append(s.wlog, memWrite{a, v})
+	} else if h := w.M.storeHook; h != nil {
 		h(a)
 	}
-	w.M.Mem.Store(a, v)
+	pg[a&mem.PageMask] = v
+}
+
+// pageMiss returns the absent page holding a for a store: privatized under
+// speculation, materialized in shared memory otherwise.
+func (w *Worker) pageMiss(a int64) *mem.Page {
+	if sp := w.spec; sp != nil {
+		return sp.view.privatize(a >> mem.PageShift)
+	}
+	return w.M.Mem.Materialize(a >> mem.PageShift)
+}
+
+// loadMiss reads a from an absent page: zero, but under speculation the
+// load privatizes the page so the chain's touched pages cover its reads.
+func (w *Worker) loadMiss(a int64) int64 {
+	if sp := w.spec; sp != nil {
+		return sp.view.privatize(a >> mem.PageShift)[a&mem.PageMask]
+	}
+	return 0
 }
 
 // takeThunk consumes the thunk behind pc on this worker's behalf. During

@@ -11,11 +11,11 @@ import (
 // ahead of its scheduler picks, against a private copy-on-first-touch view
 // of shared memory:
 //
-//   - The view privatizes whole pages (ChainPageWords words) on the first
-//     load or store that touches them, copying from shared memory. All
-//     later accesses hit the private copy at array speed, which keeps the
-//     interpreter's batched fast path available during speculation
-//     (runBlockView) — the property the engine's host speedup depends on.
+//   - The view is a private page table over mem.Page. A page privatizes
+//     (copied, or zeroed when absent) on the first load or store that
+//     touches it; later accesses hit the copy at array speed, which keeps
+//     the batched fast path (runBlock) available during speculation — the
+//     property the engine's host speedup depends on.
 //
 //   - Every store is additionally appended to the segment's write log. At
 //     the segment's oracle pick the engine flushes exactly those writes to
@@ -36,79 +36,48 @@ import (
 // time any chain executes, which makes the phase race-free by
 // construction.
 
-// Page geometry of the chained-speculation views. The shift is exported so
-// the engine's write hooks can map addresses to pages.
-const (
-	ChainPageShift = 9
-	ChainPageWords = 1 << ChainPageShift
-	chainPageMask  = ChainPageWords - 1
-)
-
 // memWrite is one logged speculative store.
 type memWrite struct {
 	a, v int64
 }
 
-// viewPage is one privatized page of a chain's memory view.
-type viewPage struct {
-	words [ChainPageWords]int64
-}
-
-// pageView is a chain's private view of shared memory: pages are copied
-// from the shared words on first touch and all accesses hit the copies.
+// pageView is a chain's private view of shared memory: a page table whose
+// pages are copied from the shared table on first touch.
 type pageView struct {
 	// size is the shared-memory size frozen at chain launch; bounds checks
 	// test against it so traps replicate the oracle's exactly. A chain is
 	// invalid once shared memory grows past it.
 	size int64
-	// src is the shared backing array at launch. It is only read during
-	// the bulk-synchronous launch phase, when no shared store or remap can
+	// src is the shared page table at launch. It is only read during the
+	// bulk-synchronous launch phase, when no shared store or remap can
 	// happen, so reading it from host goroutines is race-free.
-	src []int64
+	src []*mem.Page
 	// pages maps page number to the private copy (nil = untouched).
-	pages []*viewPage
+	pages []*mem.Page
 	// touched lists privatized page numbers in first-touch order; the
 	// engine uses it to index the chain for conflict detection and to
 	// undo that indexing when the chain dies.
 	touched []int64
+	// free holds private pages of an earlier chain, reused by privatize.
+	free []*mem.Page
 }
 
 // privatize copies page p from shared memory into the view.
-func (v *pageView) privatize(p int64) *viewPage {
-	pg := &viewPage{}
-	base := p << ChainPageShift
-	n := v.size - base
-	if n > ChainPageWords {
-		n = ChainPageWords
+func (v *pageView) privatize(p int64) *mem.Page {
+	var pg *mem.Page
+	if n := len(v.free); n > 0 {
+		pg, v.free = v.free[n-1], v.free[:n-1]
+	} else {
+		pg = new(mem.Page)
 	}
-	copy(pg.words[:n], v.src[base:base+n])
+	if s := v.src[p]; s != nil {
+		*pg = *s
+	} else {
+		*pg = mem.Page{}
+	}
 	v.pages[p] = pg
 	v.touched = append(v.touched, p)
 	return pg
-}
-
-// load reads a through the view, privatizing its page on first touch.
-func (v *pageView) load(a int64) int64 {
-	if a < mem.Guard || a >= v.size {
-		panic(&mem.Trap{Kind: "load", Addr: a})
-	}
-	pg := v.pages[a>>ChainPageShift]
-	if pg == nil {
-		pg = v.privatize(a >> ChainPageShift)
-	}
-	return pg.words[a&chainPageMask]
-}
-
-// store writes a through the view. The caller logs the write.
-func (v *pageView) store(a, val int64) {
-	if a < mem.Guard || a >= v.size {
-		panic(&mem.Trap{Kind: "store", Addr: a})
-	}
-	pg := v.pages[a>>ChainPageShift]
-	if pg == nil {
-		pg = v.privatize(a >> ChainPageShift)
-	}
-	pg.words[a&chainPageMask] = val
 }
 
 // ChainSeg is one speculated quantum of a chain, held by the throughput
@@ -138,7 +107,11 @@ func (s *ChainSeg) ConsumedThunks() []int64 { return s.st.thunks }
 type ChainRun struct {
 	w    *Worker
 	pre  *workerSnap
-	view *pageView
+	size int64 // shared-memory size frozen at launch
+	// view is the private view from the first segment (attach) to Finish,
+	// which keeps its touched page list.
+	view    *pageView
+	touched []int64
 	// consumed accumulates thunk pcs consumed by earlier segments so later
 	// segments observe their consumption (the shared map is untouched
 	// until the segments commit).
@@ -158,25 +131,28 @@ func (w *Worker) BeginChain() *ChainRun {
 	if w.M.Opts.Trace != nil {
 		return nil
 	}
-	size := w.M.Mem.Size()
-	return &ChainRun{
-		w:   w,
-		pre: w.capture(),
-		view: &pageView{
-			size:  size,
-			src:   w.M.Mem.Words(),
-			pages: make([]*viewPage, (size+ChainPageWords-1)>>ChainPageShift),
-		},
-	}
+	return &ChainRun{w: w, pre: w.capture(), size: w.M.Mem.Size()}
 }
 
 // ViewSize returns the shared-memory size the chain's view was frozen at.
-func (c *ChainRun) ViewSize() int64 { return c.view.size }
+func (c *ChainRun) ViewSize() int64 { return c.size }
 
-// TouchedPages returns the page numbers the chain has privatized so far
-// (reads and writes both privatize, so this is a superset of every address
-// the chain's segments depend on).
-func (c *ChainRun) TouchedPages() []int64 { return c.view.touched }
+// TouchedPages returns the page numbers the chain privatized (reads and
+// writes both privatize, so this is a superset of every address the
+// chain's segments depend on). Valid after Finish.
+func (c *ChainRun) TouchedPages() []int64 { return c.touched }
+
+// attach gives the chain its private view v, an emptied view from the
+// machine's pool: a fresh table per chain, one pointer per page of the
+// address space, would drive the GC. Pooled views number one per host
+// goroutine, however many workers chain.
+func (c *ChainRun) attach(v *pageView) {
+	if np := mem.PageCount(c.size); len(v.pages) < np {
+		v.pages = make([]*mem.Page, np)
+	}
+	v.size, v.src = c.size, c.w.M.Mem.Pages()
+	c.view = v
+}
 
 // RunSegment speculates the next quantum of the chain on the live worker
 // and returns it, or nil when the quantum aborted (an order-dependent
@@ -189,6 +165,9 @@ func (c *ChainRun) RunSegment(budget int64) (seg *ChainSeg) {
 		return nil
 	}
 	w := c.w
+	if c.view == nil {
+		c.attach(w.M.views.Get().(*pageView))
+	}
 	st := &specState{view: c.view, prevThunks: c.consumed}
 	w.spec = st
 	startCycles, startPoll := w.Cycles, w.PollSignal
@@ -215,12 +194,22 @@ func (c *ChainRun) RunSegment(budget int64) (seg *ChainSeg) {
 // Finish returns the live worker to the chain's launch state (a no-op when
 // a segment abort already did). Must be called exactly once, after the last
 // RunSegment and before the scheduler's replay looks at the worker.
+// It empties the view into the machine's pool (segments log their writes).
 func (c *ChainRun) Finish() {
 	if c.open {
 		c.w.restore(c.pre)
 		c.open = false
 	}
 	c.dead = true
+	if v := c.view; v != nil {
+		for _, p := range v.touched {
+			v.free = append(v.free, v.pages[p])
+			v.pages[p] = nil
+		}
+		c.touched, c.view = v.touched, nil
+		v.touched, v.src = nil, nil
+		c.w.M.views.Put(v)
+	}
 }
 
 // CommitSeg adopts segment seg at the worker's oracle pick: install the
@@ -234,15 +223,13 @@ func (c *ChainRun) CommitSeg(seg *ChainSeg, onPage func(page int64)) {
 	w := c.w
 	w.restore(seg.post)
 	if len(seg.st.wlog) > 0 {
-		words := w.M.Mem.Words()
+		pages := w.M.Mem.Pages()
 		last := int64(-1)
 		for _, wr := range seg.st.wlog {
-			words[wr.a] = wr.v
-			if onPage != nil {
-				if p := wr.a >> ChainPageShift; p != last {
-					last = p
-					onPage(p)
-				}
+			storeWord(w.M.Mem, pages, wr.a, wr.v)
+			if p := wr.a >> mem.PageShift; onPage != nil && p != last {
+				last = p
+				onPage(p)
 			}
 		}
 	}

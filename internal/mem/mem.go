@@ -3,11 +3,13 @@
 //
 // The real StackThreads/MP manipulates native stack frames; Go's runtime
 // owns goroutine stacks and moves them, so frame words cannot be patched in
-// place. This package substitutes a flat, stable address space: every
-// address is a word index into a single []int64, stacks are contiguous
-// regions growing toward lower addresses, and a shared heap serves
-// allocations. All frame-link surgery performed by the runtime (reading and
-// patching return-address and saved-FP slots) happens on these words.
+// place. This package substitutes a stable address space of 64-bit words,
+// demand-paged as the OS backs a native stack: a page materializes on its
+// first store, and a load from an absent page reads zero. Stacks are
+// contiguous regions growing toward lower addresses, and a shared heap
+// serves allocations. All frame-link surgery performed by the runtime
+// (reading and patching return-address and saved-FP slots) happens on
+// these words.
 package mem
 
 import (
@@ -29,7 +31,17 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("memory trap: %s at address %d", t.Kind, t.Addr)
 }
 
-// Memory is the flat simulated address space shared by all workers.
+// Page geometry: address a lives in page a>>PageShift at word a&PageMask.
+const (
+	PageShift = 9
+	PageWords = 1 << PageShift
+	PageMask  = PageWords - 1
+)
+
+// Page is one materialized page of simulated memory.
+type Page [PageWords]int64
+
+// Memory is the simulated address space shared by all workers.
 //
 // Layout (low addresses first):
 //
@@ -40,8 +52,12 @@ func (t *Trap) Error() string {
 //	worker stacks                 — one region per worker, each growing
 //	                                toward lower addresses
 //	worker-local storage          — a few words per worker (maxE cell, ids)
+//
+// The extent alone bounds every access, so traps never depend on which
+// pages are present; words past it are never written and stay zero.
 type Memory struct {
-	words    []int64
+	pages    []*Page // page number -> page; nil = absent (reads as zeros)
+	size     Addr    // mapped extent in words, including the guard
 	heapLo   Addr
 	heapNext Addr
 	heapHi   Addr
@@ -51,56 +67,47 @@ type Memory struct {
 const Guard Addr = 16
 
 // New creates a memory with the given heap capacity in words.
-func New(heapWords int) *Memory { return NewReserved(heapWords, 0) }
-
-// NewReserved creates a memory with the given heap capacity and reserves
-// backing capacity for `extra` more words of future MapStack/MapWords
-// mappings. A caller that knows the final footprint up front (the heap plus
-// every worker's stack) gets a single zeroed allocation instead of a
-// reallocate-and-copy per mapping — the copies dominate per-run setup time
-// for megaword stacks.
-func NewReserved(heapWords int, extra Addr) *Memory {
+func New(heapWords int) *Memory {
 	if heapWords < 0 {
 		panic("mem: negative heap size")
 	}
-	if extra < 0 {
-		extra = 0
-	}
-	size := Guard + Addr(heapWords)
-	m := &Memory{
-		words:    make([]int64, size, size+extra),
-		heapLo:   Guard,
-		heapNext: Guard,
-		heapHi:   size,
-	}
+	m := &Memory{heapLo: Guard, heapNext: Guard, heapHi: Guard + Addr(heapWords)}
+	m.extend(m.heapHi)
 	return m
 }
 
-// Reserve grows the backing array's capacity so that at least `extra` more
-// mapped words fit without reallocating. Contents, length and addresses are
-// unchanged; a no-op when capacity already suffices.
-func (m *Memory) Reserve(extra Addr) {
-	if extra <= 0 {
-		return
+// PageCount returns the number of pages needed to cover n words.
+func PageCount(n Addr) int { return int((n + PageWords - 1) >> PageShift) }
+
+// extend grows the mapped extent by n words. The new pages start absent.
+func (m *Memory) extend(n Addr) {
+	m.size += n
+	np := PageCount(m.size)
+	if np > cap(m.pages) {
+		// Double: append grows large slices by only 1.25x per copy.
+		m.pages = append(make([]*Page, 0, 2*np), m.pages...)
 	}
-	need := len(m.words) + int(extra)
-	if need <= cap(m.words) {
-		return
-	}
-	nw := make([]int64, len(m.words), need)
-	copy(nw, m.words)
-	m.words = nw
+	m.pages = m.pages[:np]
 }
 
 // Size returns the total number of mapped words (including the guard).
-func (m *Memory) Size() Addr { return Addr(len(m.words)) }
+func (m *Memory) Size() Addr { return m.size }
 
-// Words exposes the backing word array (index = address) for the
-// interpreter's batched fast path, which performs its own guard check per
-// access. The slice header is invalidated by the next MapStack/MapWords or
-// heap growth, so callers must re-fetch it at every batch boundary and never
-// retain it across a runtime call.
-func (m *Memory) Words() []int64 { return m.words }
+// Pages exposes the page table for the interpreter, which bounds-checks
+// against Size itself and calls Materialize for an absent page it stores
+// to. The slice header is invalidated by the next MapStack/MapWords, so
+// callers re-fetch it at every batch boundary.
+func (m *Memory) Pages() []*Page { return m.pages }
+
+// Materialize returns page p, allocating it zeroed if it is absent.
+func (m *Memory) Materialize(p int64) *Page {
+	pg := m.pages[p]
+	if pg == nil {
+		pg = new(Page)
+		m.pages[p] = pg
+	}
+	return pg
+}
 
 // HeapLo returns the first heap address.
 func (m *Memory) HeapLo() Addr { return m.heapLo }
@@ -111,18 +118,21 @@ func (m *Memory) HeapUsed() Addr { return m.heapNext - m.heapLo }
 // Load reads one word. It panics with *Trap on an unmapped address; the
 // machine recovers the trap at its run boundary.
 func (m *Memory) Load(a Addr) int64 {
-	if a < Guard || a >= Addr(len(m.words)) {
+	if a < Guard || a >= m.size {
 		panic(&Trap{Kind: "load", Addr: a})
 	}
-	return m.words[a]
+	if pg := m.pages[a>>PageShift]; pg != nil {
+		return pg[a&PageMask]
+	}
+	return 0
 }
 
 // Store writes one word, trapping like Load on an unmapped address.
 func (m *Memory) Store(a Addr, v int64) {
-	if a < Guard || a >= Addr(len(m.words)) {
+	if a < Guard || a >= m.size {
 		panic(&Trap{Kind: "store", Addr: a})
 	}
-	m.words[a] = v
+	m.Materialize(a >> PageShift)[a&PageMask] = v
 }
 
 // LoadF and StoreF move float64 values through raw word bits.
@@ -154,18 +164,8 @@ func (m *Memory) MapStack(n Addr) Region {
 	if n <= 0 {
 		panic("mem: MapStack: non-positive size")
 	}
-	lo := Addr(len(m.words))
-	total := len(m.words) + int(n)
-	if total <= cap(m.words) {
-		// The spare capacity is zero: backing arrays only ever come from
-		// make (which zeroes the whole array up to its capacity) and the
-		// mapped length never shrinks, so nothing has written past len.
-		m.words = m.words[:total]
-	} else {
-		nw := make([]int64, total)
-		copy(nw, m.words)
-		m.words = nw
-	}
+	lo := m.size
+	m.extend(n)
 	return Region{Lo: lo, Hi: lo + n}
 }
 

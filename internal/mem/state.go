@@ -13,10 +13,15 @@ type State struct {
 	HeapNext Addr
 }
 
-// ExportState deep-copies the memory image.
+// ExportState flattens the memory image; absent pages export as zeros, so
+// the image is the same whichever pages happen to be materialized.
 func (m *Memory) ExportState() *State {
-	words := make([]int64, len(m.words))
-	copy(words, m.words)
+	words := make([]int64, m.size)
+	for p, pg := range m.pages {
+		if pg != nil {
+			copy(words[Addr(p)<<PageShift:], pg[:])
+		}
+	}
 	return &State{Words: words, HeapNext: m.heapNext}
 }
 
@@ -24,18 +29,23 @@ func (m *Memory) ExportState() *State {
 // image may be longer than the current mapping (the checkpointed run mapped
 // extra stack segments after construction); it can never be shorter, because
 // the importer reconstructs the machine with the same worker count and stack
-// sizes before installing the image.
+// sizes before installing the image. All-zero pages stay absent.
 func (m *Memory) ImportState(st *State) error {
-	if Addr(len(st.Words)) < Addr(len(m.words)) {
+	n := Addr(len(st.Words))
+	if n < m.size {
 		return fmt.Errorf("mem: import image has %d words, current mapping needs %d",
-			len(st.Words), len(m.words))
+			n, m.size)
 	}
 	if st.HeapNext < m.heapLo || st.HeapNext > m.heapHi {
 		return fmt.Errorf("mem: import heap pointer %d outside heap [%d,%d)",
 			st.HeapNext, m.heapLo, m.heapHi)
 	}
-	m.words = make([]int64, len(st.Words))
-	copy(m.words, st.Words)
+	m.pages, m.size = make([]*Page, PageCount(n)), n
+	for a, v := range st.Words {
+		if v != 0 {
+			m.Materialize(Addr(a) >> PageShift)[a&PageMask] = v
+		}
+	}
 	m.heapNext = st.HeapNext
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 )
 
 // This file is the throughput engine, the repo's one speculative engine. It
@@ -80,7 +81,7 @@ import (
 // raise the victim's poll signal, which check 2 catches.
 //
 // The speedup model: a chain is many quanta long, executes through the
-// interpreter's batched fast path (runBlockView), and its adoptions cost
+// interpreter's batched fast path (runBlock), and its adoptions cost
 // only a state swap plus a write-log flush — so between launches the
 // coordinator mostly adopts instead of executing, and the host cores do
 // the real work in parallel.
@@ -147,7 +148,7 @@ func (s *scheduler) loopThroughput() error {
 	// gains bits (a launch), so no marking is ever skipped.
 	hookLast := int64(-1)
 	hook := func(a int64) {
-		p := a >> machine.ChainPageShift
+		p := a >> mem.PageShift
 		if p == hookLast {
 			return
 		}
@@ -221,8 +222,8 @@ func (s *scheduler) loopThroughput() error {
 		if len(cand) < 2 {
 			return
 		}
-		if np := (s.m.Mem.Size() + machine.ChainPageWords - 1) >> machine.ChainPageShift; np > int64(len(readers)) {
-			readers = append(readers, make([]uint64, np-int64(len(readers)))...)
+		if np := mem.PageCount(s.m.Mem.Size()); np > len(readers) {
+			readers = append(readers, make([]uint64, np-len(readers))...)
 		}
 		epoch := make([]*tchain, 0, len(cand))
 		for _, i := range cand {

@@ -178,6 +178,46 @@ func TestStaleFormatCheckpoint(t *testing.T) {
 	}
 }
 
+// stealReady reports whether j is executing with a capture handle (the
+// only state StealOne can take it in) or has already finished.
+func stealReady(s *Server, j *Job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return (j.state == StateRunning && j.cp != nil) || terminal(j.state)
+}
+
+// stealInFlight submits req and steals it mid-run, returning the request
+// it finally used, the submitted job and StealOne's grant. A victim can
+// finish before the steal reaches one of its pick boundaries; only that
+// setup is retried, under the next seed, and the missed victim must itself
+// have completed.
+func stealInFlight(t *testing.T, s *Server, req JobRequest) (JobRequest, *Job, *Job, string, []byte) {
+	t.Helper()
+	for try := 0; try < 20; try++ {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "victim executing", func() bool { return stealReady(s, j) })
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		victim, claim, enc, err := s.StealOne(ctx)
+		cancel()
+		if err == nil {
+			return req, j, victim, claim, enc
+		}
+		if !errors.Is(err, ErrNoStealable) {
+			t.Fatal(err)
+		}
+		awaitDone(t, j)
+		if st := jobState(s, j); st != StateDone {
+			t.Fatalf("victim that outran the steal ended %s (%s), want done", st, jobErr(s, j))
+		}
+		req.Seed++
+	}
+	t.Fatal("every victim finished before its steal landed")
+	return req, nil, nil, "", nil
+}
+
 // TestStealHandshake walks the full steal protocol on one server: victim
 // suspends at a pick boundary, thief adopts the continuation and runs it
 // to completion, the claim accepts exactly one completion, and the bytes
@@ -192,18 +232,7 @@ func TestStealHandshake(t *testing.T) {
 	}
 
 	req := JobRequest{App: "fib", Full: true, Workers: 4, Seed: 9, NoCache: true}
-	j, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "victim running", func() bool { return jobState(s, j) == StateRunning })
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	victim, claim, enc, err := s.StealOne(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, j, victim, claim, enc := stealInFlight(t, s, req)
 	if victim != j || claim == "" || len(enc) == 0 {
 		t.Fatalf("grant = (%v, %q, %d bytes)", victim == j, claim, len(enc))
 	}
@@ -267,7 +296,7 @@ func TestStealAbandonedGrantRequeues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "victim running", func() bool { return jobState(s, j) == StateRunning })
+		waitFor(t, "victim executing", func() bool { return stealReady(s, j) })
 		ctx, cancel := context.WithTimeout(context.Background(),
 			time.Duration(i)*300*time.Microsecond)
 		victim, claim, enc, serr := s.StealOne(ctx)
@@ -309,17 +338,7 @@ func TestStealReclaim(t *testing.T) {
 	defer s.Drain()
 
 	req := JobRequest{App: "fib", Full: true, Workers: 4, Seed: 10, NoCache: true}
-	j, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "victim running", func() bool { return jobState(s, j) == StateRunning })
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, claim, _, err := s.StealOne(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, j, _, claim, _ := stealInFlight(t, s, req)
 	// The thief vanishes. The claim expires, the job requeues locally from
 	// its continuation and completes.
 	awaitDone(t, j)

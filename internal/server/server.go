@@ -162,6 +162,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxRetainedJobs bounds how many terminal jobs the job table keeps for
+// lookup; older ones are forgotten (ErrNoJob, HTTP 404). Live jobs are
+// never dropped. Without the bound the table grows by every job ever
+// submitted, and the steal and /debug/jobs scans walk all of it.
+const maxRetainedJobs = 1024
+
 // Server is the job-execution service. Create with New, serve its
 // Handler(), and call Drain on shutdown.
 type Server struct {
@@ -178,6 +184,7 @@ type Server struct {
 	mu        sync.Mutex
 	drainCond *sync.Cond
 	jobs      map[string]*Job
+	retained  []string // terminal job ids, oldest first (see maxRetainedJobs)
 	nextID    uint64
 	pending   int // accepted but not yet terminal (queued + running)
 	running   int
@@ -645,6 +652,11 @@ func (s *Server) finishLocked(j *Job, out *JobOutput, err error, cacheUse string
 	if j.stealCh != nil {
 		close(j.stealCh)
 		j.stealCh = nil
+	}
+	s.retained = append(s.retained, j.ID)
+	if len(s.retained) > maxRetainedJobs {
+		delete(s.jobs, s.retained[0])
+		s.retained = s.retained[1:]
 	}
 	s.pending--
 	close(j.done)

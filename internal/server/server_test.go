@@ -491,3 +491,52 @@ func TestExecutePanicIsJobFailure(t *testing.T) {
 		t.Fatalf("executor_restarts = %d, want >= 2", n)
 	}
 }
+
+// TestJobTableBounded pushes more terminal jobs through than the table
+// retains: the oldest id must be forgotten (ErrNoJob, HTTP 404) and the
+// newest must still resolve.
+func TestJobTableBounded(t *testing.T) {
+	s := New(Config{QueueBound: 8, HostProcs: 2, CacheEntries: 16})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := JobRequest{App: "fib", Workers: 2, Seed: 3}
+	var first, last *Job
+	for i := 0; i < maxRetainedJobs+76; i++ {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitDone(t, j)
+		if i > 0 && j.cacheUse != "hit" {
+			t.Fatalf("job %d cache = %q, want hit", i, j.cacheUse)
+		}
+		if first == nil {
+			first = j
+		}
+		last = j
+	}
+	if _, err := s.Job(first.ID); !errors.Is(err, ErrNoJob) {
+		t.Fatalf("oldest job %s: err = %v, want ErrNoJob", first.ID, err)
+	}
+	get := func(id string) int {
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(first.ID); code != http.StatusNotFound {
+		t.Fatalf("GET oldest job: status %d, want 404", code)
+	}
+	if code := get(last.ID); code != http.StatusOK {
+		t.Fatalf("GET newest job: status %d, want 200", code)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n > maxRetainedJobs {
+		t.Fatalf("job table holds %d jobs, want at most %d", n, maxRetainedJobs)
+	}
+}
