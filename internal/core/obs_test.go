@@ -152,31 +152,3 @@ func TestObsDeterministicPerSeed(t *testing.T) {
 		t.Fatal("empty obs snapshot")
 	}
 }
-
-// BenchmarkObsDisabled measures the host cost of the disabled observability
-// path (the per-instruction nil check); BenchmarkObsEnabled is the
-// comparison point with full collection on.
-func BenchmarkObsDisabled(b *testing.B) {
-	benchObs(b, false)
-}
-
-func BenchmarkObsEnabled(b *testing.B) {
-	benchObs(b, true)
-}
-
-func benchObs(b *testing.B, enabled bool) {
-	w := apps.Fib(15, apps.ST)
-	for i := 0; i < b.N; i++ {
-		cfg := core.Config{Mode: core.StackThreads, Workers: 4, Seed: 1}
-		if enabled {
-			cfg.Obs = obs.New()
-		}
-		res, err := core.Run(w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.RV != 610 {
-			b.Fatalf("bad result %d", res.RV)
-		}
-	}
-}

@@ -6,8 +6,8 @@ import "repro/internal/isa"
 // resolved once at machine.New time, so the per-instruction loop never
 // performs a descriptor search, a cost-table fetch or an options check on
 // the hot path. The cache also carries the straight-line batching metadata
-// behind the interpreter's fast path (see interp.go): for every pc, the
-// length and exact cycle cost of the maximal run of straightline
+// behind runBlock (see interp.go): for every pc, the length, exact cycle
+// cost and epilogue-check share of the maximal run of straightline
 // instructions starting there.
 //
 // The cache is immutable after New — the program, the cost model and every
@@ -38,11 +38,14 @@ type decoded struct {
 	// is not straightline); runCost is the run's total cycle cost and
 	// runCostButLast the same total minus the final instruction's cost —
 	// the exact bound the fast path compares against the deadline so
-	// EvBudget fires at the identical instruction either way. Within a run
-	// these are suffix sums: entry pc+1 describes the same run's tail.
+	// EvBudget fires at the identical instruction either way; runCheck is
+	// the run's epilogue free-check cycles (zero in Cilk cost mode). Within
+	// a run these are suffix sums: entry pc+1 describes the same run's tail,
+	// so a prefix of n instructions costs the entry's sum minus entry pc+n's.
 	runLen         int32
 	runCost        int32
 	runCostButLast int32
+	runCheck       int32
 	op             isa.Op
 	rd, ra, rb     isa.Reg
 	// builtin is the runtime service for a negative Call target (zero when
@@ -50,7 +53,7 @@ type decoded struct {
 	builtin uint8
 	// isCheck marks instructions that exist only because of epilogue
 	// augmentation; the observability layer attributes their cost to the
-	// epilogue phase.
+	// epilogue phase (straightline ones through runCheck).
 	isCheck bool
 }
 
@@ -110,13 +113,18 @@ func (m *Machine) buildDecode() {
 			nextLen = 0
 			continue
 		}
+		var check int32
+		if d.isCheck && !m.Opts.CilkCost {
+			check = d.cost
+		}
 		if nextLen == 0 {
-			d.runLen, d.runCost, d.runCostButLast = 1, d.cost, 0
+			d.runLen, d.runCost, d.runCostButLast, d.runCheck = 1, d.cost, 0, check
 		} else {
 			next := &m.dec[pc+1]
 			d.runLen = nextLen + 1
 			d.runCost = d.cost + next.runCost
 			d.runCostButLast = d.cost + next.runCostButLast
+			d.runCheck = check + next.runCheck
 		}
 		nextLen = d.runLen
 	}

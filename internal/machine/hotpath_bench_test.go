@@ -6,21 +6,28 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Hot-path benchmarks: host nanoseconds spent per simulated virtual cycle on
-// the interpreter-dominated workloads (fib, cilksort, nqueens). This is the
-// figure of merit for the interpreter dispatch path itself — virtual-time
-// results are byte-identical no matter how fast the host loop runs, so any
-// change here is pure host efficiency. The bench-hotpath CI step gates these
-// against BENCH_BASELINE.json (with a wide tolerance for runner noise).
-func benchHotPath(b *testing.B, jit bool, mk func() *apps.Workload) {
+// the interpreter-dominated workloads (fib, cilksort, nqueens), plain, with
+// the trace JIT (_jit) and with the virtual-time collector attached (_obs).
+// This is the figure of merit for the interpreter dispatch path itself —
+// virtual-time results are byte-identical no matter how fast the host loop
+// runs, so any change here is pure host efficiency. The bench-hotpath CI step
+// gates these against BENCH_BASELINE.json (with a wide tolerance for runner
+// noise).
+func benchHotPath(b *testing.B, jit, observe bool, mk func() *apps.Workload) {
 	b.Helper()
 	var hostNS, vcycles int64
 	for i := 0; i < b.N; i++ {
 		w := mk()
+		cfg := core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1, JIT: jit}
+		if observe {
+			cfg.Obs = obs.New()
+		}
 		t0 := time.Now()
-		res, err := core.Run(w, core.Config{Mode: core.StackThreads, Workers: 1, Seed: 1, JIT: jit})
+		res, err := core.Run(w, cfg)
 		host := time.Since(t0)
 		if err != nil {
 			b.Fatal(err)
@@ -36,19 +43,18 @@ func benchHotPath(b *testing.B, jit bool, mk func() *apps.Workload) {
 }
 
 func BenchmarkHotPath(b *testing.B) {
-	for _, jit := range []bool{false, true} {
-		suffix := ""
-		if jit {
-			suffix = "_jit"
-		}
-		b.Run("fib"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.Fib(22, apps.ST) })
+	for _, leg := range []struct {
+		suffix       string
+		jit, observe bool
+	}{{"", false, false}, {"_jit", true, false}, {"_obs", false, true}} {
+		b.Run("fib"+leg.suffix, func(b *testing.B) {
+			benchHotPath(b, leg.jit, leg.observe, func() *apps.Workload { return apps.Fib(22, apps.ST) })
 		})
-		b.Run("cilksort"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.Cilksort(6000, apps.ST, 11) })
+		b.Run("cilksort"+leg.suffix, func(b *testing.B) {
+			benchHotPath(b, leg.jit, leg.observe, func() *apps.Workload { return apps.Cilksort(6000, apps.ST, 11) })
 		})
-		b.Run("nqueens"+suffix, func(b *testing.B) {
-			benchHotPath(b, jit, func() *apps.Workload { return apps.NQueens(8, apps.ST) })
+		b.Run("nqueens"+leg.suffix, func(b *testing.B) {
+			benchHotPath(b, leg.jit, leg.observe, func() *apps.Workload { return apps.NQueens(8, apps.ST) })
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // runtimeError is a simulated-program fault raised inside the interpreter
@@ -30,11 +31,12 @@ func (w *Worker) fail(pc int64, format string, args ...any) {
 //
 // The loop is driven by the flat decode cache (decode.go): one entry per pc
 // holding the resolved opcode cost, registers, procedure descriptor, call
-// adjustments and straight-line run metadata. When tracing and observability
-// are off, runs of straightline instructions execute as a batch (runBlock)
-// with cycles charged in bulk and the budget checked only at run boundaries;
-// the batch is entered only when the whole run fits under the deadline, so
-// EvBudget fires at the identical instruction either way.
+// adjustments and straight-line run metadata. Straightline instructions are
+// defined once, in runBlock; Run's switch holds only the control ops. A whole
+// straight-line run executes as one batch when it fits under the deadline
+// (so EvBudget fires at the identical instruction either way) and ends before
+// the profiler's next sample; otherwise, or when tracing or NoFastPath is
+// on, runBlock executes one instruction at a time.
 func (w *Worker) Run(budget int64) (ev Event) {
 	deadline := w.Cycles + budget
 	if budget > 0 && deadline < w.Cycles {
@@ -55,21 +57,20 @@ func (w *Worker) Run(budget int64) (ev Event) {
 	}()
 
 	dec := w.M.dec
-	// The batched fast path executes with deferred state writes, so it
-	// requires an execution environment with no per-instruction side
-	// channels: no tracing and no observability. runBlock serves plain
-	// execution (shared page table, inline store-hook calls) and
-	// speculative segments (the chain's page view, with a write log) alike.
-	// Everything the batch skips is observationally redundant, so turning
-	// it off (NoFastPath) changes nothing but host speed.
-	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil && w.Obs == nil
-	// The trace JIT additionally requires plain (non-speculative) memory:
-	// speculative segments must log page-view writes, so they stay on the
-	// path that already handles them. Not entering the JIT never changes
+	// Batching defers per-instruction state writes, so tracing turns it
+	// off. runBlock serves plain execution, speculative segments (the
+	// chain's page view, with a write log) and observed runs alike, and
+	// everything a batch skips is observationally redundant, so turning it
+	// off (NoFastPath) changes nothing but host speed.
+	fast := !w.M.Opts.NoFastPath && w.M.Opts.Trace == nil
+	o := w.Obs
+	// The trace JIT additionally requires plain (non-speculative) memory
+	// and no observation: traces log no page-view writes, attribute no
+	// phases and take no samples. Not entering the JIT never changes
 	// virtual state, so the gate is a pure host-speed decision.
 	var jit *jitState
 	var jitHeads []bool
-	if fast && w.spec == nil && w.M.jitHeads != nil {
+	if fast && w.spec == nil && o == nil && w.M.jitHeads != nil {
 		if w.jit == nil {
 			w.jit = newJITState(w.M)
 		}
@@ -117,8 +118,9 @@ func (w *Worker) Run(budget int64) (ev Event) {
 		}
 
 		d := &dec[pc]
-		if fast && d.runLen > 1 && w.Cycles < deadline-int64(d.runCostButLast) {
-			w.runBlock(pc, d)
+		if fast && d.runLen > 0 && w.Cycles < deadline-int64(d.runCostButLast) &&
+			(o == nil || w.Cycles+int64(d.runCost) < o.NextSample) {
+			w.runBlock(pc, d, d.runLen)
 			continue
 		}
 
@@ -126,59 +128,22 @@ func (w *Worker) Run(budget int64) (ev Event) {
 			fmt.Fprintf(w.M.Opts.Trace, "w%d %8d pc=%-5d sp=%-8d fp=%-8d rv=%-6d %v\n",
 				w.ID, w.Cycles, pc, w.Regs[isa.SP], w.Regs[isa.FP], w.Regs[isa.RV], w.M.Prog.Code[pc])
 		}
+		if d.runLen > 0 {
+			// Like obsTick, sample at the post-charge clock, before executing.
+			if o != nil && w.Cycles+int64(d.cost) >= o.NextSample {
+				w.obsSample(pc, w.Cycles+int64(d.cost))
+			}
+			w.runBlock(pc, d, 1)
+			continue
+		}
 		w.Stats.Instrs++
 		w.Cycles += int64(d.cost)
-		if w.Obs != nil {
+		if o != nil {
 			w.obsTick(pc, d)
 		}
 		next := pc + 1
 
 		switch d.op {
-		case isa.Nop:
-		case isa.Const:
-			w.Regs[d.rd] = d.imm
-		case isa.Mov:
-			w.Regs[d.rd] = w.Regs[d.ra]
-		case isa.Add:
-			w.Regs[d.rd] = w.Regs[d.ra] + w.Regs[d.rb]
-		case isa.Sub:
-			w.Regs[d.rd] = w.Regs[d.ra] - w.Regs[d.rb]
-		case isa.Mul:
-			w.Regs[d.rd] = w.Regs[d.ra] * w.Regs[d.rb]
-		case isa.Div:
-			if w.Regs[d.rb] == 0 {
-				w.fail(pc, "division by zero")
-			}
-			w.Regs[d.rd] = w.Regs[d.ra] / w.Regs[d.rb]
-		case isa.Mod:
-			if w.Regs[d.rb] == 0 {
-				w.fail(pc, "modulo by zero")
-			}
-			w.Regs[d.rd] = w.Regs[d.ra] % w.Regs[d.rb]
-		case isa.And:
-			w.Regs[d.rd] = w.Regs[d.ra] & w.Regs[d.rb]
-		case isa.Or:
-			w.Regs[d.rd] = w.Regs[d.ra] | w.Regs[d.rb]
-		case isa.Xor:
-			w.Regs[d.rd] = w.Regs[d.ra] ^ w.Regs[d.rb]
-		case isa.Shl:
-			w.Regs[d.rd] = w.Regs[d.ra] << uint64(w.Regs[d.rb]&63)
-		case isa.Shr:
-			w.Regs[d.rd] = w.Regs[d.ra] >> uint64(w.Regs[d.rb]&63)
-		case isa.AddI:
-			w.Regs[d.rd] = w.Regs[d.ra] + d.imm
-		case isa.MulI:
-			w.Regs[d.rd] = w.Regs[d.ra] * d.imm
-		case isa.Load:
-			w.Regs[d.rd] = w.memLoad(w.Regs[d.ra] + d.imm)
-		case isa.Store:
-			w.memStore(w.Regs[d.ra]+d.imm, w.Regs[d.rb])
-		case isa.Tas:
-			// Atomic under the discrete-event scheduler: instructions are
-			// indivisible across workers.
-			a := w.Regs[d.ra] + d.imm
-			w.Regs[d.rd] = w.memLoad(a)
-			w.memStore(a, 1)
 		case isa.Jmp:
 			next = d.imm
 		case isa.JmpReg:
@@ -241,30 +206,6 @@ func (w *Worker) Run(budget int64) (ev Event) {
 				w.PC = next
 				return EvPoll
 			}
-		case isa.FAdd:
-			w.Regs[d.rd] = f2b(b2f(w.Regs[d.ra]) + b2f(w.Regs[d.rb]))
-		case isa.FSub:
-			w.Regs[d.rd] = f2b(b2f(w.Regs[d.ra]) - b2f(w.Regs[d.rb]))
-		case isa.FMul:
-			w.Regs[d.rd] = f2b(b2f(w.Regs[d.ra]) * b2f(w.Regs[d.rb]))
-		case isa.FDiv:
-			w.Regs[d.rd] = f2b(b2f(w.Regs[d.ra]) / b2f(w.Regs[d.rb]))
-		case isa.FNeg:
-			w.Regs[d.rd] = f2b(-b2f(w.Regs[d.ra]))
-		case isa.FCmp:
-			a, b := b2f(w.Regs[d.ra]), b2f(w.Regs[d.rb])
-			switch {
-			case a < b:
-				w.Regs[d.rd] = -1
-			case a > b:
-				w.Regs[d.rd] = 1
-			default:
-				w.Regs[d.rd] = 0
-			}
-		case isa.ItoF:
-			w.Regs[d.rd] = f2b(float64(w.Regs[d.ra]))
-		case isa.FtoI:
-			w.Regs[d.rd] = int64(b2f(w.Regs[d.ra]))
 		default:
 			w.fail(pc, "illegal opcode %v", d.op)
 		}
@@ -300,26 +241,27 @@ func (w *Worker) magicPC(pc int64) (Event, bool) {
 	return 0, false
 }
 
-// runBlock executes the whole straight-line run of d0.runLen instructions
-// starting at pc `start` as one batch: registers and memory update in place,
-// but PC, cycles and the instruction count are written once at the end. The
-// caller has already verified the entire run fits under the budget deadline
-// and that the execution environment has no tracing or observability, and
-// straightline instructions cannot branch or reach the runtime, so no
+// runBlock is the one definition of the straightline instructions. It
+// executes the first n instructions (1 <= n <= d0.runLen) of the
+// straight-line run starting at pc `start` as one batch: registers and
+// memory update in place, but PC, cycles, the instruction count and the
+// run's epilogue-check attribution are written once at the end.
+// The caller has already verified that the n instructions fit under the
+// budget deadline and, when observed, that no profiler sample falls inside
+// them; straightline instructions cannot branch or reach the runtime, so no
 // per-instruction checks are needed. Memory is accessed exactly as
 // memLoad/memStore would, inlined: through the worker's page table (shared,
 // or a chain's private view) with a bounds check against its extent, so
-// traps replicate the oracle's exactly. The only panics a block can raise
-// are its own simulated faults, each preceded by blockSync, which
-// synchronizes PC/cycles/instruction count to the exact state the
-// per-instruction path would hold at the trap (the faulting instruction
-// charged and counted, w.PC naming it) — required both for Run's trap
-// formatting and for the engines' trap-state determinism.
-func (w *Worker) runBlock(start int64, d0 *decoded) {
+// traps replicate memLoad/memStore exactly. The only panics a block can
+// raise are its own simulated faults, each preceded by blockSync, which
+// synchronizes the worker to the exact state at the trap (the faulting
+// instruction charged and counted, w.PC naming it) — required both for
+// Run's trap formatting and for the engines' trap-state determinism.
+func (w *Worker) runBlock(start int64, d0 *decoded, n int32) {
 	dec := w.M.dec
 	sp := w.spec
 	pages, size := w.memTable()
-	end := start + int64(d0.runLen)
+	end := start + int64(n)
 	regs := &w.Regs
 	for pc := start; pc < end; pc++ {
 		d := &dec[pc]
@@ -388,6 +330,8 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			}
 			pg[a&mem.PageMask] = v
 		case isa.Tas:
+			// Atomic under the discrete-event scheduler: instructions are
+			// indivisible across workers.
 			a := regs[d.ra] + d.imm
 			if a < mem.Guard || a >= size {
 				w.blockTrap(start, pc, d0, "load", a)
@@ -433,26 +377,39 @@ func (w *Worker) runBlock(start int64, d0 *decoded) {
 			w.fail(pc, "illegal opcode %v", d.op)
 		}
 	}
-	w.Cycles += int64(d0.runCost)
-	w.Stats.Instrs += int64(d0.runLen)
+	if n == d0.runLen && w.Obs == nil {
+		// The common case: a whole, unobserved run has no prefix to
+		// subtract and no checks to attribute.
+		w.Cycles += int64(d0.runCost)
+		w.Stats.Instrs += int64(n)
+	} else {
+		w.blockSync(start, end-1, d0)
+	}
 	w.PC = end
 }
 
-// blockSync synchronizes the worker's architectural state to the exact
-// per-instruction state at pc inside the batch starting at start: the
-// instructions before pc completed, pc's cost is charged and its execution
-// counted, and w.PC names it. Within a run, runCost is a suffix sum, so the
-// completed prefix costs d0.runCost - d.runCost. Called only on the cold
-// trap paths.
+// blockSync synchronizes the worker to the exact per-instruction state at pc
+// inside the batch starting at start: the instructions through pc are
+// charged (cycles, count and, when observed, epilogue checks) and w.PC names
+// pc. Within a run the decode cache holds suffix sums, so the prefix through
+// pc costs d0's sum minus the sum at pc+1 (nothing past the run's end).
 func (w *Worker) blockSync(start, pc int64, d0 *decoded) {
-	d := &w.M.dec[pc]
+	cost, check := d0.runCost, d0.runCheck
+	if pc-start+1 < int64(d0.runLen) {
+		e := &w.M.dec[pc+1]
+		cost -= e.runCost
+		check -= e.runCheck
+	}
 	w.PC = pc
-	w.Cycles += int64(d0.runCost-d.runCost) + int64(d.cost)
-	w.Stats.Instrs += (pc - start) + 1
+	w.Cycles += int64(cost)
+	w.Stats.Instrs += pc - start + 1
+	if check != 0 && w.Obs != nil {
+		w.Obs.Charge(obs.PhaseEpilogue, int64(check))
+	}
 }
 
-// blockTrap raises the memory trap the per-instruction path's memLoad or
-// memStore would raise at pc, with identical worker state.
+// blockTrap raises the memory trap memLoad or memStore would raise at pc,
+// with the worker synchronized to pc.
 func (w *Worker) blockTrap(start, pc int64, d0 *decoded, kind string, a int64) {
 	w.blockSync(start, pc, d0)
 	panic(&mem.Trap{Kind: kind, Addr: a})

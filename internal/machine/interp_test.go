@@ -10,11 +10,13 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/postproc"
 )
 
-// evalProc builds main() executing body and returns RV.
-func evalProc(t *testing.T, body func(b *asm.B)) (int64, error) {
+// evalProc builds main() executing body and returns RV, on a machine built
+// with opts.
+func evalProc(t *testing.T, opts machine.Options, body func(b *asm.B)) (int64, error) {
 	t.Helper()
 	u := asm.NewUnit()
 	b := u.Proc("main", 0, 4)
@@ -27,17 +29,32 @@ func evalProc(t *testing.T, body func(b *asm.B)) (int64, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(prog, mem.New(256), isa.X86(), 1, machine.Options{StackWords: 1 << 10})
+	opts.StackWords = 1 << 10
+	m := machine.New(prog, mem.New(256), isa.X86(), 1, opts)
 	return m.RunSingle("main")
 }
 
-func mustEval(t *testing.T, body func(b *asm.B)) int64 {
+func mustEval(t *testing.T, opts machine.Options, body func(b *asm.B)) int64 {
 	t.Helper()
-	rv, err := evalProc(t, body)
+	rv, err := evalProc(t, opts, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rv
+}
+
+// entryPaths are the ways into the one definition of the straightline ops
+// (runBlock): the batched default, the one-instruction-at-a-time reference
+// (NoFastPath) and an observed run. The per-op oracle tests run every case
+// on each, so a wrong op fails against a hand-computed answer, not merely
+// against itself on another path.
+var entryPaths = []struct {
+	name string
+	opts func() machine.Options
+}{
+	{"default", func() machine.Options { return machine.Options{} }},
+	{"nofastpath", func() machine.Options { return machine.Options{NoFastPath: true} }},
+	{"obs", func() machine.Options { return machine.Options{Obs: obs.New()} }},
 }
 
 func TestALUInstructions(t *testing.T) {
@@ -103,17 +120,26 @@ func TestALUInstructions(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if got := mustEval(t, c.body); got != c.want {
-				t.Fatalf("got %d, want %d", got, c.want)
+			for _, p := range entryPaths {
+				t.Run(p.name, func(t *testing.T) {
+					if got := mustEval(t, p.opts(), c.body); got != c.want {
+						t.Fatalf("got %d, want %d", got, c.want)
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestFloatInstructions(t *testing.T) {
-	got := mustEval(t, func(b *asm.B) {
+	for _, p := range entryPaths {
+		t.Run(p.name, func(t *testing.T) { floatInstructions(t, p.opts) })
+	}
+}
+
+func floatInstructions(t *testing.T, opts func() machine.Options) {
+	got := mustEval(t, opts(), func(b *asm.B) {
 		b.ConstF(isa.T0, 1.5)
 		b.ConstF(isa.T1, 2.5)
 		b.FAdd(isa.T2, isa.T0, isa.T1) // 4.0
@@ -129,7 +155,7 @@ func TestFloatInstructions(t *testing.T) {
 		t.Fatalf("float chain = %d, want -4", got)
 	}
 
-	got = mustEval(t, func(b *asm.B) {
+	got = mustEval(t, opts(), func(b *asm.B) {
 		b.Const(isa.T0, 7)
 		b.ItoF(isa.T0, isa.T0)
 		b.ConstF(isa.T1, 7.0)
@@ -149,7 +175,7 @@ func TestFloatInstructions(t *testing.T) {
 }
 
 func TestMathBuiltins(t *testing.T) {
-	got := mustEval(t, func(b *asm.B) {
+	got := mustEval(t, machine.Options{}, func(b *asm.B) {
 		b.ConstF(isa.T0, math.Pi/2)
 		b.SetArg(0, isa.T0)
 		b.Call("sin") // 1.0
@@ -171,19 +197,32 @@ func TestMathBuiltins(t *testing.T) {
 }
 
 func TestDivideByZeroTraps(t *testing.T) {
-	_, err := evalProc(t, func(b *asm.B) {
-		b.Const(isa.T0, 1)
-		b.Const(isa.T1, 0)
-		b.Div(isa.RV, isa.T0, isa.T1)
-		b.Ret(isa.RV)
-	})
-	if err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("err = %v", err)
+	for _, p := range entryPaths {
+		t.Run(p.name, func(t *testing.T) {
+			_, err := evalProc(t, p.opts(), func(b *asm.B) {
+				b.Const(isa.T0, 1)
+				b.Const(isa.T1, 0)
+				b.Div(isa.RV, isa.T0, isa.T1)
+				b.Ret(isa.RV)
+			})
+			if err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Fatalf("err = %v", err)
+			}
+			_, err = evalProc(t, p.opts(), func(b *asm.B) {
+				b.Const(isa.T0, 1)
+				b.Const(isa.T1, 0)
+				b.Mod(isa.RV, isa.T0, isa.T1)
+				b.Ret(isa.RV)
+			})
+			if err == nil || !strings.Contains(err.Error(), "modulo by zero") {
+				t.Fatalf("err = %v", err)
+			}
+		})
 	}
 }
 
 func TestNullPointerTraps(t *testing.T) {
-	_, err := evalProc(t, func(b *asm.B) {
+	_, err := evalProc(t, machine.Options{}, func(b *asm.B) {
 		b.Const(isa.T0, 0)
 		b.Load(isa.RV, isa.T0, 0)
 		b.Ret(isa.RV)
@@ -221,7 +260,7 @@ func TestStackOverflowTraps(t *testing.T) {
 }
 
 func TestWorkerAndRandBuiltins(t *testing.T) {
-	got := mustEval(t, func(b *asm.B) {
+	got := mustEval(t, machine.Options{}, func(b *asm.B) {
 		b.Call("worker_id") // 0
 		b.Mov(isa.R0, isa.RV)
 		b.Call("num_workers") // 1
@@ -232,11 +271,11 @@ func TestWorkerAndRandBuiltins(t *testing.T) {
 		t.Fatalf("worker_id+num_workers = %d", got)
 	}
 	// rand returns non-negative and is deterministic per seed.
-	a := mustEval(t, func(b *asm.B) {
+	a := mustEval(t, machine.Options{}, func(b *asm.B) {
 		b.Call("rand")
 		b.Ret(isa.RV)
 	})
-	bb := mustEval(t, func(b *asm.B) {
+	bb := mustEval(t, machine.Options{}, func(b *asm.B) {
 		b.Call("rand")
 		b.Ret(isa.RV)
 	})
@@ -246,7 +285,7 @@ func TestWorkerAndRandBuiltins(t *testing.T) {
 }
 
 func TestMemBuiltins(t *testing.T) {
-	got := mustEval(t, func(b *asm.B) {
+	got := mustEval(t, machine.Options{}, func(b *asm.B) {
 		// alloc 8; memset to 5; copy 4 words to a second alloc; sum one.
 		b.Const(isa.T0, 8)
 		b.SetArg(0, isa.T0)

@@ -36,9 +36,11 @@ import (
 // property tests (jit_test.go) and the engine equivalence matrix prove the
 // artifacts are byte-identical with it on or off.
 //
-// Speculation: the JIT indexes the shared page table, so it is gated off
-// whenever w.spec != nil; speculative segments run through runBlock against
-// their private views, which log every write.
+// Speculation and observation: the JIT indexes the shared page table and
+// attributes no phases and takes no samples, so it is gated off whenever
+// w.spec != nil or w.Obs != nil. Those runs go through runBlock, against the
+// chain's private view (logging every write) or with the collector's
+// sample-boundary and epilogue accounting.
 
 const (
 	// jitHotThreshold is the arrival count at which a head pc compiles.

@@ -104,11 +104,14 @@ type Options struct {
 	// Obs, when non-nil, attaches the observability layer: cycle-phase
 	// attribution, the sampling profiler and the trace event stream. Nil
 	// costs nothing — collection never charges virtual cycles either way.
+	// Observed runs keep straight-line batching (a batch stops short of the
+	// profiler's next sample); only the trace JIT is off while observing.
 	Obs *obs.Collector
-	// NoFastPath forces the interpreter onto its per-instruction reference
-	// path, disabling straight-line batching AND the trace JIT. Tests use it
-	// to prove the fast paths are observationally identical; nothing in the
-	// production paths (core, sched, stserve) ever sets it.
+	// NoFastPath makes the interpreter execute straightline code one
+	// instruction at a time, through the same definition (runBlock) the
+	// batches use, and disables the trace JIT. Tests use it as the
+	// reference that proves batching and the JIT observationally identical;
+	// nothing in the production paths (core, sched, stserve) ever sets it.
 	NoFastPath bool
 	// JIT enables the trace JIT (jit.go): hot program points compile into
 	// superblock traces of fused superinstruction steps, deoptimizing to

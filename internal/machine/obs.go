@@ -16,10 +16,12 @@ import (
 // obsMaxStackDepth bounds the profiler's logical-stack walk.
 const obsMaxStackDepth = 64
 
-// obsTick runs once per interpreted instruction when observability is on:
-// it attributes the instruction's cost when the pc belongs to an augmented
-// epilogue's free check or a poll point, and fires the sampling profiler
-// when the worker's virtual clock crosses the next sample boundary.
+// obsTick runs once per control op (jump, branch, call, poll) when
+// observability is on: it attributes the instruction's cost when the pc
+// belongs to an augmented epilogue's free check or a poll point, and fires
+// the sampling profiler when the worker's virtual clock crosses the next
+// sample boundary. Straightline code never reaches it: runBlock attributes
+// its checks in bulk and Run samples it directly.
 //
 // In Cilk cost mode neither attribution applies: the interpreter refunds
 // poll points entirely and refunds the check per call, so charging them to
@@ -34,19 +36,20 @@ func (w *Worker) obsTick(pc int64, d *decoded) {
 		}
 	}
 	if w.Cycles >= o.NextSample {
-		w.obsSample(pc)
+		w.obsSample(pc, w.Cycles)
 	}
 }
 
-// obsSample records one profiler observation: the executing pc plus the
-// call sites of every frame on the logical stack (flat/cumulative
-// attribution). The walk is read-only, charges nothing, and bails out
-// rather than trap on any half-formed frame.
-func (w *Worker) obsSample(pc int64) {
+// obsSample records one profiler observation at virtual time now (the
+// sampled instruction's post-charge clock): the executing pc plus the call
+// sites of every frame on the logical stack (flat/cumulative attribution).
+// The walk sees the stack before pc executes, is read-only, charges nothing,
+// and bails out rather than trap on any half-formed frame.
+func (w *Worker) obsSample(pc, now int64) {
 	o := w.Obs
 	// A long uninterrupted operation may cross several sample periods at
 	// once; weight the observation by how many.
-	periods := (w.Cycles-o.NextSample)/o.Period + 1
+	periods := (now-o.NextSample)/o.Period + 1
 	o.NextSample += periods * o.Period
 
 	pcs := append(w.obsStack[:0], pc)

@@ -158,12 +158,21 @@ type errView struct {
 	Failure string `json:"failure,omitempty"`
 }
 
+// maxSubmitBody bounds a POST /jobs body, as the cluster front end does: a
+// job request is a few hundred bytes, so anything larger is hostile.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errView{Error: "bad request body: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errView{Error: "bad request body: " + err.Error()})
 		return
 	}
 	j, err := s.SubmitTrace(req, r.Header.Get(TraceHeader))

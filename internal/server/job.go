@@ -59,6 +59,11 @@ type JobRequest struct {
 	Trace   bool `json:"trace,omitempty"`
 }
 
+// maxJobWorkers caps a request's virtual worker count. Each worker maps a
+// stack, and the page table grows with the mapped extent, so an unbounded
+// count could exhaust the host's memory before the run starts.
+const maxJobWorkers = 4096
+
 // normalize applies defaults and validates the request.
 func (r *JobRequest) normalize() error {
 	if r.Mode == "" {
@@ -69,9 +74,15 @@ func (r *JobRequest) normalize() error {
 	default:
 		return fmt.Errorf("unknown mode %q (want seq, st or cilk)", r.Mode)
 	}
+	if r.Workers > maxJobWorkers {
+		return fmt.Errorf("workers %d exceeds the cap of %d", r.Workers, maxJobWorkers)
+	}
 	if r.Workers <= 0 || r.Mode == "seq" {
 		r.Workers = 1
 	}
+	// Non-positive values mean the default; one spelling keeps one cache key.
+	r.Quantum = max(r.Quantum, 0)
+	r.MaxWorkCycles = max(r.MaxWorkCycles, 0)
 	if r.CPU == "" {
 		r.CPU = "sparc"
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -94,10 +95,80 @@ func TestSubmitValidation(t *testing.T) {
 		{App: "fib", CPU: "z80"},
 		{App: "fib", Engine: "quantum"},
 		{App: "fib", Engine: "parallel"},
+		{App: "fib", Workers: maxJobWorkers + 1},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("bad request %+v accepted", req)
 		}
+	}
+	if _, err := s.Submit(JobRequest{App: "fib", Workers: 1 << 24}); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprint(maxJobWorkers)) {
+		t.Fatalf("oversized worker count: err = %v, want one naming the cap %d", err, maxJobWorkers)
+	}
+}
+
+// TestCacheKeyCanonical: quantum and max_work_cycles at or below zero mean
+// the default, so every such spelling must share the default's cache key.
+func TestCacheKeyCanonical(t *testing.T) {
+	key := func(r JobRequest) string {
+		t.Helper()
+		n, err := r.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.CacheKey()
+	}
+	want := key(JobRequest{App: "fib"})
+	for _, r := range []JobRequest{
+		{App: "fib", Quantum: -5},
+		{App: "fib", MaxWorkCycles: -1},
+		{App: "fib", Quantum: -1 << 40, MaxWorkCycles: -7},
+	} {
+		if got := key(r); got != want {
+			t.Fatalf("%+v: cache key %q, want %q", r, got, want)
+		}
+	}
+	if key(JobRequest{App: "fib", Quantum: 100}) == want {
+		t.Fatal("a positive quantum must change the cache key")
+	}
+}
+
+// TestSubmitBodyBounded: an oversized POST /jobs body and an oversized worker
+// count both get typed 4xx answers, and the node stays healthy.
+func TestSubmitBodyBounded(t *testing.T) {
+	s := New(Config{QueueBound: 4, HostProcs: 1, CacheEntries: -1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, errView) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v errView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, v
+	}
+	huge := `{"app":"` + strings.Repeat("a", 2<<20) + `"}`
+	if code, v := post(huge); code != http.StatusRequestEntityTooLarge || v.Error == "" {
+		t.Fatalf("2 MiB body: status %d, error %q; want 413 with an error", code, v.Error)
+	}
+	if code, v := post(`{"app":"fib","workers":16777216}`); code != http.StatusBadRequest ||
+		!strings.Contains(v.Error, fmt.Sprint(maxJobWorkers)) {
+		t.Fatalf("oversized worker count: status %d, error %q; want 400 naming the cap", code, v.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d after hostile requests, want 200", resp.StatusCode)
 	}
 }
 
